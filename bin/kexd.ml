@@ -490,15 +490,15 @@ let loadgen_cmd =
     Arg.(
       value & opt int 1
       & info [ "pipeline" ] ~docv:"W"
-          ~doc:"id-tagged requests in flight per connection (1 = v1 one-at-a-time wire)")
+          ~doc:"id-tagged requests in flight per connection (1 = one at a time)")
   in
   let conns_per_client_arg =
     Arg.(
       value & opt int 1
       & info [ "conns-per-client"; "conns" ] ~docv:"N"
-          ~doc:"sockets per client domain (total connections = N x $(b,--connections)); > 1 \
-                select-multiplexes them in one domain, each with its own $(b,--pipeline) \
-                window on the id-tagged wire — the connection-scaling knob")
+          ~doc:"sockets per client domain (total connections = N x $(b,--connections)), \
+                polled by one loop, each with its own $(b,--pipeline) window — the \
+                connection-scaling knob")
   in
   let phase_marks_arg =
     Arg.(
@@ -513,10 +513,16 @@ let loadgen_cmd =
       & opt (some string) None
       & info [ "json" ] ~docv:"FILE" ~doc:"write the run record (schema kexclusion-serve/v6)")
   in
+  let addr_conv =
+    let parse a =
+      match Kex_service.Netio.parse_addr a with Ok _ -> Ok a | Error msg -> Error (`Msg msg)
+    in
+    Arg.conv (parse, Format.pp_print_string)
+  in
   let cluster_arg =
     Arg.(
       value
-      & opt (list string) []
+      & opt (list addr_conv) []
       & info [ "cluster" ] ~docv:"ADDRS"
           ~doc:"cluster seed nodes (comma-separated host:port): bootstrap the routing table \
                 with TOPO from any of them, follow MOVED redirects, refresh on node loss")
@@ -524,7 +530,7 @@ let loadgen_cmd =
   let expect_dead_arg =
     Arg.(
       value
-      & opt (list string) []
+      & opt (list addr_conv) []
       & info [ "expect-dead" ] ~docv:"ADDRS"
           ~doc:"nodes expected to die mid-run (kill-node chaos): their errors are expected \
                 and exempt from $(b,--fail-on-errors)")

@@ -7,23 +7,22 @@
    reconnects — so a stalled server (k workers killed) shows up as errors
    and collapsed throughput rather than a hung tool.
 
-   With [pipeline] = W > 1 each connection keeps a window of W id-tagged
-   requests in flight and matches responses by id (they may return out of
-   order).  Latency is stamped at *enqueue* — the moment the request joins
-   the window, before any socket write — so queueing delay inside the
-   window is charged to the request, not hidden.  W = 1 keeps the
-   untagged one-at-a-time wire exchange, byte-identical to older clients.
+   Each domain runs one poll-driven loop over [conns_per_client] lanes;
+   each lane keeps a window of [pipeline] = W id-tagged requests in flight
+   (W = 1 is a window of one) and matches responses by id (they may return
+   out of order).  Latency is stamped at *enqueue* — the moment the request
+   joins the window, before any socket write — so queueing delay inside
+   the window is charged to the request, not hidden.  Lanes are the
+   connection-scaling knob: C total connections cost only C/N domains, so
+   a sweep can push C to 256 without 256 domains.
 
-   With [conns_per_client] = N > 1 each client domain select-multiplexes N
-   sockets, each with its own W-window — the connection-scaling knob: C
-   total connections cost only C/N domains, so a sweep can push C to 256
-   without 256 domains.
+   Every request is routed: a single-node run is a fixed one-node table;
+   [cluster] seeds switch on the TOPO-bootstrapped, MOVED-following table.
 
    [wire] selects the framing: the v1 text protocol or the binary v2
    frames — same ops, same semantics, different codec cost.  RMW is a GET
    followed by a SET of the same key, charged as one request whose latency
-   spans both legs (in the pipelined loop the SET inherits the GET's
-   enqueue stamp). *)
+   spans both legs (the SET inherits the GET's enqueue stamp). *)
 
 module Hist = Kex_sim.Stats.Hist
 
@@ -39,9 +38,9 @@ type config = {
   value_size_max : int;  (* > value_size: sizes uniform in the range *)
   scan_len : int;  (* SCAN range length *)
   seed : int;
-  timeout_s : float;  (* per-request socket timeout *)
-  pipeline : int;  (* requests in flight per connection; 1 = v1 contract *)
-  conns_per_client : int;  (* sockets per client domain; > 1 multiplexes *)
+  timeout_s : float;  (* a socket with requests in flight and no bytes this long fails *)
+  pipeline : int;  (* requests in flight per lane *)
+  conns_per_client : int;  (* lanes (sockets per node) per client domain *)
   wire : Protocol.wire;
   phase_marks : float list;  (* split [0..duration] for per-phase stats *)
   cluster : string list;  (* seed node addrs; non-empty switches on routing *)
@@ -95,7 +94,7 @@ let mix_to_string mix =
 
 (* ------------------------------- sampling ------------------------------- *)
 
-(* One flat record per request, appended lock-free into per-connection
+(* One flat record per request, appended lock-free into per-domain
    buffers: (t_offset_ms, latency_us, op_kind, ok). *)
 type samples = {
   mutable t_off_ms : int array;
@@ -128,25 +127,6 @@ let samples_push s ~t_off_ms ~lat_us ~kind ~ok =
 
 (* ------------------------------- the client ----------------------------- *)
 
-exception Req_failed of string
-
-let connect_to cfg ~host ~port =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  match
-    (try
-       Unix.setsockopt_float fd Unix.SO_RCVTIMEO cfg.timeout_s;
-       Unix.setsockopt fd Unix.TCP_NODELAY true
-     with Unix.Unix_error _ -> ());
-    let addr = Unix.ADDR_INET (Unix.inet_addr_of_string host, port) in
-    Unix.connect fd addr
-  with
-  | () -> fd
-  | exception e ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      raise e
-
-let connect cfg = connect_to cfg ~host:cfg.host ~port:cfg.port
-
 (* Reconnect backoff: a refused connect (server down) fails instantly, so
    without a pause a dead server turns the client into a busy loop of
    errors.  The delay starts at 50 ms and doubles to a 2 s cap; any
@@ -154,29 +134,9 @@ let connect cfg = connect_to cfg ~host:cfg.host ~port:cfg.port
 let backoff_init = 0.05
 let backoff_cap = 2.0
 
-(* Send one framed request and block for its framed response. *)
-let roundtrip cfg fd (dec : Protocol.Resp_decoder.t) out req =
-  Buffer.clear out;
-  Protocol.encode_request_wire out cfg.wire ~id:None req;
-  Netio.write_all fd (Buffer.contents out);
-  let buf = Bytes.create 8192 in
-  let rec await () =
-    match Protocol.Resp_decoder.next dec with
-    | Protocol.Dec_frame (_, resp) -> resp
-    | Protocol.Dec_skip (_, msg) -> raise (Req_failed ("bad response: " ^ msg))
-    | Protocol.Dec_broken msg -> raise (Req_failed ("bad frame: " ^ msg))
-    | Protocol.Dec_more -> (
-        match Unix.read fd buf 0 (Bytes.length buf) with
-        | 0 -> raise (Req_failed "connection closed")
-        | n ->
-            Protocol.Resp_decoder.feed_bytes dec buf ~off:0 ~len:n;
-            await ()
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> await ()
-        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-            raise (Req_failed "timeout")
-        | exception Unix.Unix_error (e, _, _) -> raise (Req_failed (Unix.error_message e)))
-  in
-  await ()
+(* A request may bounce MOVED a few times mid-migration (stale table, then
+   a table that is itself flipping); past this it counts as an error. *)
+let max_redirects = 3
 
 let kind_index k =
   match k with
@@ -188,17 +148,18 @@ let kind_index k =
   | "scan" -> 5
   | _ -> -1
 
-(* Per-connection generator state: the key sampler plus a pre-rolled random
+(* Per-domain generator state: the key sampler plus a pre-rolled random
    blob values are sliced from, so the hot path allocates one string per
    SET instead of running a char-level closure. *)
-type gen = { g_rng : Random.State.t; g_kd : Keydist.t; g_blob : string }
+type gen = { g_rng : Random.State.t; g_kd : Keydist.t; g_blob : string; g_total : int }
 
 let gen_create cfg ~conn_id =
   let rng = Random.State.make [| cfg.seed; conn_id |] in
   let vmax = max cfg.value_size cfg.value_size_max in
   { g_rng = rng;
     g_kd = Keydist.create cfg.dist ~keys:cfg.keys;
-    g_blob = String.init (max 1 vmax) (fun _ -> Char.chr (32 + Random.State.int rng 95)) }
+    g_blob = String.init (max 1 vmax) (fun _ -> Char.chr (32 + Random.State.int rng 95));
+    g_total = List.fold_left (fun acc (_, w) -> acc + w) 0 cfg.mix }
 
 let gen_value cfg g =
   let vmax = max cfg.value_size cfg.value_size_max in
@@ -209,451 +170,70 @@ let gen_value cfg g =
   in
   String.sub g.g_blob 0 len
 
-(* One generated operation: the request to send, its mix kind, and (for
-   RMW) the key to SET once the GET leg completes. *)
-type gen_op = { g_kind : int; g_req : Protocol.request; g_rmw : string option }
+(* A request in flight, or waiting in its lane to be (re-)dispatched:
+   enough to route it, re-route it after a MOVED, and launch the RMW write
+   leg under the original enqueue stamp. *)
+type entry = {
+  e_enq_us : int;  (* latency clock: stamped when the request joins the window *)
+  e_t_off_ms : int;  (* wall offset into the run, for per-phase stats *)
+  e_kind : int;
+  e_key : string;  (* what the routing table hashes *)
+  e_req : Protocol.request;
+  e_rmw : bool;  (* a SET of [e_key] follows this GET *)
+  e_redirects : int;
+}
 
-let pick_op cfg g =
-  let total = List.fold_left (fun acc (_, w) -> acc + w) 0 cfg.mix in
-  let roll = Random.State.int g.g_rng total in
+let new_entry cfg g ~t0 =
+  let roll = Random.State.int g.g_rng g.g_total in
   let rec pick acc = function
     | [] -> assert false
     | (kind, w) :: rest -> if roll < acc + w then kind else pick (acc + w) rest
   in
   let kind = pick 0 cfg.mix in
   let sample_key () = Keydist.key_of_index (Keydist.sample g.g_kd g.g_rng) in
-  match kind with
-  | "get" -> { g_kind = 0; g_req = Protocol.Get (sample_key ()); g_rmw = None }
-  | "set" ->
-      (* Under the latest-biased distribution a SET is an *insert*: it
-         extends the key space by one and becomes the new hot end (YCSB
-         workload D's writer).  Other distributions overwrite in place. *)
-      let key =
-        match cfg.dist with
-        | Keydist.Latest ->
-            Keydist.advance g.g_kd;
-            Keydist.key_of_index (Keydist.newest g.g_kd)
-        | _ -> sample_key ()
-      in
-      { g_kind = 1; g_req = Protocol.Set (key, gen_value cfg g); g_rmw = None }
-  | "del" -> { g_kind = 2; g_req = Protocol.Del (sample_key ()); g_rmw = None }
-  | "update" -> { g_kind = 3; g_req = Protocol.Update (sample_key (), 1); g_rmw = None }
-  | "rmw" ->
-      let key = sample_key () in
-      { g_kind = 4; g_req = Protocol.Get key; g_rmw = Some key }
-  | "scan" -> { g_kind = 5; g_req = Protocol.Scan (sample_key (), cfg.scan_len); g_rmw = None }
-  | _ -> assert false
+  let key, req =
+    match kind with
+    | "get" | "rmw" ->
+        let k = sample_key () in
+        (k, Protocol.Get k)
+    | "set" ->
+        (* Under the latest-biased distribution a SET is an *insert*: it
+           extends the key space by one and becomes the new hot end (YCSB
+           workload D's writer).  Other distributions overwrite in place. *)
+        let k =
+          match cfg.dist with
+          | Keydist.Latest ->
+              Keydist.advance g.g_kd;
+              Keydist.key_of_index (Keydist.newest g.g_kd)
+          | _ -> sample_key ()
+        in
+        (k, Protocol.Set (k, gen_value cfg g))
+    | "del" ->
+        let k = sample_key () in
+        (k, Protocol.Del k)
+    | "update" ->
+        let k = sample_key () in
+        (k, Protocol.Update (k, 1))
+    | "scan" ->
+        let k = sample_key () in
+        (k, Protocol.Scan (k, cfg.scan_len))
+    | _ -> assert false
+  in
+  (* [now_us] is wall-clock microseconds clamped to never step back, so
+     the same stamp gives the phase offset. *)
+  let enq_us = Metrics.now_us () in
+  { e_enq_us = enq_us;
+    e_t_off_ms = (enq_us - int_of_float (t0 *. 1e6)) / 1000;
+    e_kind = kind_index kind;
+    e_key = key;
+    e_req = req;
+    e_rmw = kind = "rmw";
+    e_redirects = 0 }
 
-(* One-at-a-time path: one request in flight, latency = the whole wire
-   round-trip (both legs, for RMW). *)
-let sync_loop cfg ~t0 ~conn_id samples =
-  let g = gen_create cfg ~conn_id in
-  let deadline = t0 +. cfg.duration_s in
-  let out = Buffer.create 256 in
-  let conn = ref None in
-  let backoff = ref backoff_init in
-  let get_conn () =
-    match !conn with
-    | Some c -> c
-    | None ->
-        let fd = connect cfg in
-        let c = (fd, Protocol.Resp_decoder.create cfg.wire) in
-        conn := Some c;
-        backoff := backoff_init;
-        c
-  in
-  let connected () = !conn <> None in
-  let drop_conn () =
-    (match !conn with Some (fd, _) -> (try Unix.close fd with Unix.Unix_error _ -> ()) | None -> ());
-    conn := None
-  in
-  while Unix.gettimeofday () < deadline do
-    let op = pick_op cfg g in
-    let start = Unix.gettimeofday () in
-    (* Latency from the monotonicized clock (a wall-clock step backwards
-       would record a negative round-trip); phase offsets stay wall-based. *)
-    let start_us = Metrics.now_us () in
-    let ok =
-      match
-        let fd, dec = get_conn () in
-        match (roundtrip cfg fd dec out op.g_req, op.g_rmw) with
-        | (Protocol.Error _ as r), _ -> r
-        | _, Some key ->
-            (* RMW's write leg: same key, same sample. *)
-            roundtrip cfg fd dec out (Protocol.Set (key, gen_value cfg g))
-        | r, None -> r
-      with
-      | Protocol.Error _ -> false
-      | _resp -> true
-      | exception (Req_failed _ | Unix.Unix_error _) ->
-          let failed_to_connect = not (connected ()) in
-          drop_conn ();
-          if failed_to_connect then begin
-            Thread.delay !backoff;
-            backoff := Float.min (!backoff *. 2.) backoff_cap
-          end;
-          false
-    in
-    samples_push samples
-      ~t_off_ms:(int_of_float ((start -. t0) *. 1000.))
-      ~lat_us:(Metrics.now_us () - start_us)
-      ~kind:op.g_kind ~ok
-  done;
-  drop_conn ()
-
-(* Pipelined path: keep a window of W tagged requests in flight; responses
-   match by id and may arrive in any order.  Each in-flight request remembers
-   its enqueue time and kind; an RMW entry additionally carries the key its
-   write leg must SET when the read leg lands. *)
-type inflight = { if_enq_us : int; if_t_off_ms : int; if_kind : int; if_rmw : string option }
-
-let pipelined_loop cfg ~t0 ~conn_id samples =
-  let g = gen_create cfg ~conn_id in
-  let deadline = t0 +. cfg.duration_s in
-  let buf = Bytes.create 65536 in
-  let next_id = ref 0 in
-  let inflight : (int, inflight) Hashtbl.t = Hashtbl.create (2 * cfg.pipeline) in
-  let conn = ref None in
-  (* Follow-up RMW writes generated while draining responses; flushed as one
-     write after the drain. *)
-  let followups = Buffer.create 256 in
-  let record_sample inf ~lat_us ~ok =
-    samples_push samples ~t_off_ms:inf.if_t_off_ms ~lat_us ~kind:inf.if_kind ~ok
-  in
-  (* On a dead connection every in-flight request becomes an error charged
-     from its enqueue time — the client-visible truth. *)
-  let fail_inflight () =
-    let now_us = Metrics.now_us () in
-    Hashtbl.iter
-      (fun _ inf -> record_sample inf ~lat_us:(now_us - inf.if_enq_us) ~ok:false)
-      inflight;
-    Hashtbl.reset inflight
-  in
-  let drop_conn () =
-    (match !conn with Some (fd, _) -> (try Unix.close fd with Unix.Unix_error _ -> ()) | None -> ());
-    conn := None;
-    Buffer.clear followups;
-    fail_inflight ()
-  in
-  (* Top the window up to W and ship the new requests as one write. *)
-  let fill fd =
-    if Hashtbl.length inflight < cfg.pipeline then begin
-      let out = Buffer.create 512 in
-      while Hashtbl.length inflight < cfg.pipeline do
-        let op = pick_op cfg g in
-        let id = !next_id in
-        incr next_id;
-        let enq = Unix.gettimeofday () in
-        Hashtbl.replace inflight id
-          { if_enq_us = Metrics.now_us ();
-            if_t_off_ms = int_of_float ((enq -. t0) *. 1000.);
-            if_kind = op.g_kind;
-            if_rmw = op.g_rmw };
-        Protocol.encode_request_wire out cfg.wire ~id:(Some id) op.g_req
-      done;
-      Netio.write_all fd (Buffer.contents out)
-    end
-  in
-  (* Process every decoded frame; any malformed or unknown-id response means
-     the stream is out of sync — treat the connection as lost. *)
-  let rec drain dec =
-    match Protocol.Resp_decoder.next dec with
-    | Protocol.Dec_broken msg -> raise (Req_failed ("bad frame: " ^ msg))
-    | Protocol.Dec_skip (_, msg) -> raise (Req_failed ("bad response: " ^ msg))
-    | Protocol.Dec_more -> ()
-    | Protocol.Dec_frame (None, _) -> raise (Req_failed "untagged response on a pipelined stream")
-    | Protocol.Dec_frame (Some id, resp) ->
-        (match Hashtbl.find_opt inflight id with
-        | None -> raise (Req_failed (Printf.sprintf "response for unknown id %d" id))
-        | Some inf -> (
-            Hashtbl.remove inflight id;
-            match (inf.if_rmw, resp) with
-            | Some key, resp when (match resp with Protocol.Error _ -> false | _ -> true) ->
-                (* RMW read leg done: launch the write leg under a fresh id
-                   but the *original* enqueue stamp, so the one recorded
-                   sample spans the whole read-modify-write. *)
-                let fid = !next_id in
-                incr next_id;
-                Hashtbl.replace inflight fid { inf with if_rmw = None };
-                Protocol.encode_request_wire followups cfg.wire ~id:(Some fid)
-                  (Protocol.Set (key, gen_value cfg g))
-            | _ ->
-                let lat_us = Metrics.now_us () - inf.if_enq_us in
-                record_sample inf ~lat_us
-                  ~ok:(match resp with Protocol.Error _ -> false | _ -> true)));
-        drain dec
-  in
-  let read_some fd dec =
-    match Unix.read fd buf 0 (Bytes.length buf) with
-    | 0 -> raise (Req_failed "connection closed")
-    | n ->
-        Protocol.Resp_decoder.feed_bytes dec buf ~off:0 ~len:n;
-        drain dec;
-        if Buffer.length followups > 0 then begin
-          Netio.write_all fd (Buffer.contents followups);
-          Buffer.clear followups
-        end
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-        raise (Req_failed "timeout")
-    | exception Unix.Unix_error (e, _, _) -> raise (Req_failed (Unix.error_message e))
-  in
-  let backoff = ref backoff_init in
-  while Unix.gettimeofday () < deadline do
-    match
-      let fd, dec =
-        match !conn with
-        | Some c -> c
-        | None ->
-            let fd = connect cfg in
-            let c = (fd, Protocol.Resp_decoder.create cfg.wire) in
-            conn := Some c;
-            backoff := backoff_init;
-            c
-      in
-      fill fd;
-      read_some fd dec
-    with
-    | () -> ()
-    | exception (Req_failed _ | Unix.Unix_error _) ->
-        let failed_to_connect = !conn = None in
-        drop_conn ();
-        if failed_to_connect then begin
-          Thread.delay !backoff;
-          backoff := Float.min (!backoff *. 2.) backoff_cap
-        end
-  done;
-  (* Deadline: give responses already on the wire one timeout to land, then
-     charge whatever never came back as errors. *)
-  (match !conn with
-  | None -> ()
-  | Some (fd, dec) ->
-      let drain_deadline = Unix.gettimeofday () +. cfg.timeout_s in
-      (try
-         while Hashtbl.length inflight > 0 && Unix.gettimeofday () < drain_deadline do
-           read_some fd dec
-         done
-       with Req_failed _ | Unix.Unix_error _ -> ()));
-  drop_conn ()
-
-(* -------------------------- multi-conn client --------------------------- *)
-
-(* Connection-scaling path ([conns_per_client] > 1): one client domain
-   multiplexes N sockets with select, each socket keeping its own window of
-   [pipeline] id-tagged requests in flight — so C total connections cost
-   C/N domains, and a sweep can push C into the hundreds without spawning
-   hundreds of domains.  Requests are tagged even at W = 1 (the select loop
-   cannot block per-response), so this path always speaks the id-tagged
-   wire.  Each socket reconnects independently with the usual backoff; a
-   socket with traffic in flight and no bytes for [timeout_s] is failed. *)
-
-type mconn = {
-  mutable mc_sock : (Unix.file_descr * Protocol.Resp_decoder.t) option;
-  mc_inflight : (int, inflight) Hashtbl.t;
-  mc_followups : Buffer.t;  (* RMW write legs produced while draining *)
-  mutable mc_backoff : float;
-  mutable mc_retry_at : float;  (* no reconnect attempts before this *)
-  mutable mc_last_rx : float;  (* progress stamp for the request timeout *)
-}
-
-let multi_loop cfg ~t0 ~conn_id samples =
-  let g = gen_create cfg ~conn_id in
-  let deadline = t0 +. cfg.duration_s in
-  let window = max 1 cfg.pipeline in
-  let buf = Bytes.create 65536 in
-  let next_id = ref 0 in
-  let conns =
-    Array.init cfg.conns_per_client (fun _ ->
-        { mc_sock = None;
-          mc_inflight = Hashtbl.create (2 * window);
-          mc_followups = Buffer.create 256;
-          mc_backoff = backoff_init;
-          mc_retry_at = 0.;
-          mc_last_rx = 0. })
-  in
-  let record_sample inf ~lat_us ~ok =
-    samples_push samples ~t_off_ms:inf.if_t_off_ms ~lat_us ~kind:inf.if_kind ~ok
-  in
-  (* Socket death: every request in flight there becomes an error charged
-     from its enqueue, and the backoff window opens. *)
-  let fail_conn mc =
-    let now_us = Metrics.now_us () in
-    Hashtbl.iter
-      (fun _ inf -> record_sample inf ~lat_us:(now_us - inf.if_enq_us) ~ok:false)
-      mc.mc_inflight;
-    Hashtbl.reset mc.mc_inflight;
-    (match mc.mc_sock with
-    | Some (fd, _) -> ( try Unix.close fd with Unix.Unix_error _ -> ())
-    | None -> ());
-    mc.mc_sock <- None;
-    Buffer.clear mc.mc_followups;
-    mc.mc_retry_at <- Unix.gettimeofday () +. mc.mc_backoff;
-    mc.mc_backoff <- Float.min (mc.mc_backoff *. 2.) backoff_cap
-  in
-  let fill_buf = Buffer.create 1024 in
-  let fill mc fd =
-    if Hashtbl.length mc.mc_inflight < window then begin
-      let out = fill_buf in
-      Buffer.clear out;
-      while Hashtbl.length mc.mc_inflight < window do
-        let op = pick_op cfg g in
-        let id = !next_id in
-        incr next_id;
-        let enq = Unix.gettimeofday () in
-        Hashtbl.replace mc.mc_inflight id
-          { if_enq_us = Metrics.now_us ();
-            if_t_off_ms = int_of_float ((enq -. t0) *. 1000.);
-            if_kind = op.g_kind;
-            if_rmw = op.g_rmw };
-        Protocol.encode_request_wire out cfg.wire ~id:(Some id) op.g_req
-      done;
-      Netio.write_all fd (Buffer.contents out)
-    end
-  in
-  let rec drain mc dec =
-    match Protocol.Resp_decoder.next dec with
-    | Protocol.Dec_broken msg -> raise (Req_failed ("bad frame: " ^ msg))
-    | Protocol.Dec_skip (_, msg) -> raise (Req_failed ("bad response: " ^ msg))
-    | Protocol.Dec_more -> ()
-    | Protocol.Dec_frame (None, _) -> raise (Req_failed "untagged response on a pipelined stream")
-    | Protocol.Dec_frame (Some id, resp) ->
-        (match Hashtbl.find_opt mc.mc_inflight id with
-        | None -> raise (Req_failed (Printf.sprintf "response for unknown id %d" id))
-        | Some inf -> (
-            Hashtbl.remove mc.mc_inflight id;
-            match (inf.if_rmw, resp) with
-            | Some key, resp when (match resp with Protocol.Error _ -> false | _ -> true) ->
-                (* RMW write leg under a fresh id, original enqueue stamp. *)
-                let fid = !next_id in
-                incr next_id;
-                Hashtbl.replace mc.mc_inflight fid { inf with if_rmw = None };
-                Protocol.encode_request_wire mc.mc_followups cfg.wire ~id:(Some fid)
-                  (Protocol.Set (key, gen_value cfg g))
-            | _ ->
-                let lat_us = Metrics.now_us () - inf.if_enq_us in
-                record_sample inf ~lat_us
-                  ~ok:(match resp with Protocol.Error _ -> false | _ -> true)));
-        drain mc dec
-  in
-  let read_one mc fd dec =
-    match Unix.read fd buf 0 (Bytes.length buf) with
-    | 0 -> fail_conn mc
-    | n -> (
-        mc.mc_last_rx <- Unix.gettimeofday ();
-        Protocol.Resp_decoder.feed_bytes dec buf ~off:0 ~len:n;
-        match
-          drain mc dec;
-          if Buffer.length mc.mc_followups > 0 then begin
-            Netio.write_all fd (Buffer.contents mc.mc_followups);
-            Buffer.clear mc.mc_followups
-          end
-        with
-        | () -> ()
-        | exception (Req_failed _ | Unix.Unix_error _) -> fail_conn mc)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-    | exception Unix.Unix_error _ -> fail_conn mc
-  in
-  (* Readiness via the poll stub over preallocated scratch arrays: at 64+
-     sockets per domain, rebuilding select's fd lists (and the O(live x
-     ready) [List.memq] scan) every 20 ms phase costs more than the
-     requests themselves.  [pflags] is in-out, so it is rewritten on every
-     phase anyway. *)
-  let pfds = Array.make (max 1 cfg.conns_per_client) Unix.stdin in
-  let pflags = Array.make (max 1 cfg.conns_per_client) 0 in
-  let pmcs = Array.make (max 1 cfg.conns_per_client) None in
-  let read_phase ~timeout =
-    let n = ref 0 in
-    Array.iter
-      (fun mc ->
-        match mc.mc_sock with
-        | Some (fd, dec) ->
-            pfds.(!n) <- fd;
-            pflags.(!n) <- Netio.Poll.pollin;
-            pmcs.(!n) <- Some (mc, fd, dec);
-            incr n
-        | None -> ())
-      conns;
-    if !n = 0 then Thread.delay timeout
-    else begin
-      ignore (Netio.Poll.wait pfds pflags ~n:!n ~timeout_ms:(int_of_float (timeout *. 1000.)));
-      for i = 0 to !n - 1 do
-        match pmcs.(i) with
-        | Some (mc, fd, dec)
-          when pflags.(i) land (Netio.Poll.pollin lor Netio.Poll.pollerr) <> 0 ->
-            let still_current =
-              match mc.mc_sock with Some (fd', _) -> fd' == fd | None -> false
-            in
-            if still_current then read_one mc fd dec
-        | _ -> ()
-      done
-    end;
-    let now = Unix.gettimeofday () in
-    Array.iter
-      (fun mc ->
-        match mc.mc_sock with
-        | Some _ when Hashtbl.length mc.mc_inflight > 0 && now -. mc.mc_last_rx > cfg.timeout_s ->
-            fail_conn mc
-        | _ -> ())
-      conns
-  in
-  while Unix.gettimeofday () < deadline do
-    let now = Unix.gettimeofday () in
-    Array.iter
-      (fun mc ->
-        (* (Re)connect sockets whose backoff window has passed, then top the
-           window up; a connect refusal just re-opens the window (the other
-           sockets keep the domain busy, so no sleep here). *)
-        (match mc.mc_sock with
-        | None when now >= mc.mc_retry_at -> (
-            match connect cfg with
-            | fd ->
-                mc.mc_sock <- Some (fd, Protocol.Resp_decoder.create cfg.wire);
-                mc.mc_backoff <- backoff_init;
-                mc.mc_last_rx <- Unix.gettimeofday ()
-            | exception (Unix.Unix_error _ | Failure _) ->
-                mc.mc_retry_at <- now +. mc.mc_backoff;
-                mc.mc_backoff <- Float.min (mc.mc_backoff *. 2.) backoff_cap)
-        | _ -> ());
-        match mc.mc_sock with
-        | Some (fd, _) -> (
-            match fill mc fd with
-            | () -> ()
-            | exception (Req_failed _ | Unix.Unix_error _) -> fail_conn mc)
-        | None -> ())
-      conns;
-    read_phase ~timeout:0.02
-  done;
-  (* Deadline: give responses already on the wire one timeout to land, then
-     charge whatever never came back as errors. *)
-  let drain_deadline = Unix.gettimeofday () +. cfg.timeout_s in
-  while
-    Array.exists (fun mc -> Hashtbl.length mc.mc_inflight > 0) conns
-    && Unix.gettimeofday () < drain_deadline
-  do
-    read_phase ~timeout:0.02
-  done;
-  Array.iter fail_conn conns
-
-(* ----------------------------- cluster client ---------------------------- *)
-
-(* Cluster mode ([cluster] non-empty): the client holds the epoch-versioned
-   routing table — bootstrapped with TOPO from any seed node — routes every
-   key to its shard's owner, follows MOVED redirects (adopting any strictly
-   newer epoch it learns, so it chases at most one redirect per epoch), and
-   refreshes the table whenever a node stops answering.  Each connection
-   keeps at most [pipeline] tagged requests in flight *across all nodes*;
-   per-node sockets reconnect with the exponential backoff above, so a
-   killed node yields a bounded error rate while its shards are down and
-   full throughput again once they are reassigned.
-
-   Errors are attributed to the node they were routed to; errors on nodes
+(* Errors are attributed to the node they were routed to; errors on nodes
    listed in [expect_dead] are additionally counted as *expected* — the
    kill-node experiment's way of asserting "dead shards may time out, but
    surviving shards must not fail". *)
-
-module Routing = Kex_cluster.Routing
-
 type cluster_stats = {
   mutable cs_redirects : int;  (* MOVED replies followed *)
   mutable cs_expected : int;  (* errors attributed to expect_dead nodes *)
@@ -663,334 +243,329 @@ type cluster_stats = {
 let cluster_stats_create () =
   { cs_redirects = 0; cs_expected = 0; cs_node_errors = Hashtbl.create 8 }
 
-let parse_addr addr =
-  match String.rindex_opt addr ':' with
-  | None -> None
-  | Some i -> (
-      let host = String.sub addr 0 i in
-      match int_of_string_opt (String.sub addr (i + 1) (String.length addr - i - 1)) with
-      | Some port when port > 0 && port < 65536 -> Some (host, port)
-      | _ -> None)
+module Routing = Kex_cluster.Routing
 
 (* One TOPO exchange on a throwaway connection (interleaving it into a
    pipelined stream would need its own id bookkeeping for no benefit).
    Returns the table iff the node answered with a complete one. *)
 let fetch_topo cfg addr =
-  match parse_addr addr with
-  | None -> None
-  | Some (host, port) -> (
-      match connect_to cfg ~host ~port with
-      | exception (Unix.Unix_error _ | Failure _) -> None
-      | fd ->
-          let dec = Protocol.Resp_decoder.create cfg.wire in
-          let out = Buffer.create 64 in
-          let res =
-            match roundtrip cfg fd dec out Protocol.Topo with
-            | Protocol.Topo_reply (epoch, entries) when entries <> [] ->
-                let shards = List.length entries in
-                let owners = Array.make shards "" in
-                List.iter
-                  (fun (s, a) -> if s >= 0 && s < shards then owners.(s) <- a)
-                  entries;
-                if Array.exists (fun a -> a = "") owners then None else Some (epoch, entries, owners)
-            | _ -> None
-            | exception (Req_failed _ | Unix.Unix_error _) -> None
-          in
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          res)
+  match Netio.connect ~timeout_s:cfg.timeout_s addr with
+  | Error _ -> None
+  | Ok fd ->
+      let out = Buffer.create 64 and buf = Bytes.create 4096 in
+      let dec = Protocol.Resp_decoder.create cfg.wire in
+      let rec await () =
+        match Protocol.Resp_decoder.next dec with
+        | Protocol.Dec_frame (_, resp) -> Some resp
+        | Protocol.Dec_skip _ | Protocol.Dec_broken _ -> None
+        | Protocol.Dec_more -> (
+            match Unix.read fd buf 0 (Bytes.length buf) with
+            | 0 -> None
+            | n ->
+                Protocol.Resp_decoder.feed_bytes dec buf ~off:0 ~len:n;
+                await ())
+      in
+      let res =
+        Protocol.encode_request_wire out cfg.wire ~id:None Protocol.Topo;
+        match
+          Netio.write_all fd (Buffer.contents out);
+          await ()
+        with
+        | Some (Protocol.Topo_reply (epoch, entries)) when entries <> [] ->
+            let shards = List.length entries in
+            let owners = Array.make shards "" in
+            List.iter (fun (s, a) -> if s >= 0 && s < shards then owners.(s) <- a) entries;
+            if Array.exists (fun a -> a = "") owners then None else Some (epoch, entries, owners)
+        | _ -> None
+        | exception Unix.Unix_error _ -> None
+      in
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      res
 
-(* Per-node connection state.  [cn_retry_at]/[cn_backoff] implement the
-   reconnect backoff; while a node is inside its backoff window, requests
-   routed to it fail fast instead of re-attempting the refused connect. *)
-type cconn = {
-  cc_fd : Unix.file_descr;
-  cc_dec : Protocol.Resp_decoder.t;
-  mutable cc_last_rx : float;  (* progress stamp for the request timeout *)
+(* The first complete table any of [addrs] answers with. *)
+let rec first_topo cfg = function
+  | [] -> None
+  | a :: rest -> ( match fetch_topo cfg a with Some _ as t -> t | None -> first_topo cfg rest)
+
+(* The routing table a run starts from: a fixed one-entry table for a
+   single-node run; in cluster mode the first seed to answer TOPO, retried
+   every 200 ms until [deadline]. *)
+let rec initial_routing cfg ~deadline =
+  if cfg.cluster = [] then
+    Some (Routing.create ~epoch:0 ~owners:[| Printf.sprintf "%s:%d" cfg.host cfg.port |])
+  else
+    match first_topo cfg cfg.cluster with
+    | Some (epoch, _, owners) -> Some (Routing.create ~epoch ~owners)
+    | None when Unix.gettimeofday () +. 0.2 < deadline ->
+        Thread.delay 0.2;
+        initial_routing cfg ~deadline
+    | None -> None
+
+(* A response stream out of sync with its window: the socket is lost. *)
+exception Desync
+
+(* The client loop, one per domain.  The domain owns [conns_per_client]
+   lanes; each lane keeps a window of [pipeline] id-tagged requests in
+   flight, spread across nodes, over one socket per node it talks to.
+   Every key is routed through an epoch-versioned table: a single-node run
+   is a fixed one-entry table for [host:port]; in cluster mode the table
+   is bootstrapped with TOPO from any seed, follows MOVED (adopting only
+   strictly newer epochs, so it chases at most one redirect per epoch) and
+   is refreshed whenever a node stops answering.
+
+   One iteration: top every lane's window up, encoding the new frames into
+   per-socket buffers, then ship each buffer as one write; then poll every
+   live socket (over preallocated scratch arrays) and drain what arrived
+   into one receive buffer.  A socket that closes, desyncs, or has traffic
+   in flight and no bytes for [timeout_s] fails: its in-flight requests
+   become errors charged from their enqueue, and it backs off before the
+   next connect; requests routed to it meanwhile fail fast, holding their
+   window slot for the round, so a dead node errors at a bounded rate. *)
+
+type sock = {
+  s_addr : string;
+  s_lane : lane;
+  mutable s_conn : (Unix.file_descr * Protocol.Resp_decoder.t) option;
+  s_inflight : (int, entry) Hashtbl.t;  (* request id -> request *)
+  s_out : Buffer.t;  (* frames encoded this round, shipped as one write *)
+  mutable s_backoff : float;
+  mutable s_retry_at : float;  (* no reconnect attempt before this *)
+  mutable s_last_rx : float;  (* progress stamp for the request timeout *)
 }
 
-type cnode = {
-  cn_addr : string;
-  cn_host : string;
-  cn_port : int;
-  mutable cn_conn : cconn option;
-  cn_inflight : (int, centry) Hashtbl.t;
-  mutable cn_backoff : float;
-  mutable cn_retry_at : float;
+and lane = {
+  l_socks : (string, sock) Hashtbl.t;  (* node addr -> this lane's socket *)
+  l_pending : entry Queue.t;  (* redirected requests and RMW write legs *)
+  mutable l_inflight : int;
 }
 
-(* An in-flight (or re-dispatchable) request: enough to re-route it after a
-   MOVED and to launch the RMW write leg under the original enqueue stamp. *)
-and centry = {
-  ce_enq_us : int;
-  ce_t_off_ms : int;
-  ce_kind : int;
-  ce_key : string;  (* what the routing table hashes *)
-  ce_req : Protocol.request;
-  ce_rmw : bool;  (* a write leg still follows this request *)
-  ce_redirects : int;
-}
-
-(* A request may bounce MOVED a few times mid-migration (stale table, then
-   a table that is itself flipping); past this it counts as an error. *)
-let max_redirects = 3
-
-let cluster_loop cfg ~t0 ~conn_id samples cs =
-  let g = gen_create cfg ~conn_id in
+let client cfg ~t0 ~conn_id samples cs routing =
   let deadline = t0 +. cfg.duration_s in
-  let window = max 1 cfg.pipeline in
+  let g = gen_create cfg ~conn_id in
   let buf = Bytes.create 65536 in
-  let nodes : (string, cnode) Hashtbl.t = Hashtbl.create 8 in
-  let node_of addr =
-    match Hashtbl.find_opt nodes addr with
-    | Some n -> n
-    | None ->
-        let host, port =
-          match parse_addr addr with Some hp -> hp | None -> ("127.0.0.1", 1)
-        in
-        let n =
-          { cn_addr = addr; cn_host = host; cn_port = port; cn_conn = None;
-            cn_inflight = Hashtbl.create 32; cn_backoff = backoff_init; cn_retry_at = 0. }
-        in
-        Hashtbl.add nodes addr n;
-        n
+  let next_id = ref 0 in
+  let lanes =
+    Array.init cfg.conns_per_client (fun _ ->
+        { l_socks = Hashtbl.create 4; l_pending = Queue.create (); l_inflight = 0 })
   in
-  let routing = ref None in
-  let last_refresh = ref 0. in
+  (* Every socket of every lane, and poll's scratch arrays sized to match. *)
+  let socks = ref [||] in
+  let pfds = ref [||] and pflags = ref [||] and psocks = ref [||] in
+  let fixed = cfg.cluster = [] in
+  let last_refresh = ref (Unix.gettimeofday ()) in
   (* Re-learn the table from whoever answers — seeds plus every address
      MOVED ever named.  Rate-limited: a dead node triggers this on every
      failure, and one TOPO per 200 ms is plenty to chase a migration. *)
   let refresh () =
     let now = Unix.gettimeofday () in
-    if now -. !last_refresh >= 0.2 then begin
+    if (not fixed) && now -. !last_refresh >= 0.2 then begin
       last_refresh := now;
       let addrs =
-        List.sort_uniq compare
-          (cfg.cluster @ Hashtbl.fold (fun a _ acc -> a :: acc) nodes [])
+        List.sort_uniq compare (cfg.cluster @ Array.to_list (Array.map (fun s -> s.s_addr) !socks))
       in
-      let rec try_addrs = function
-        | [] -> ()
-        | a :: rest -> (
-            match fetch_topo cfg a with
-            | Some (epoch, entries, owners) -> (
-                match !routing with
-                | None -> routing := Some (Routing.create ~epoch ~owners)
-                | Some r -> ignore (Routing.install r ~epoch ~owners:entries))
-            | None -> try_addrs rest)
-      in
-      try_addrs addrs
+      match first_topo cfg addrs with
+      | Some (epoch, entries, _) -> ignore (Routing.install routing ~epoch ~owners:entries)
+      | None -> ()
     end
   in
-  let total_inflight = ref 0 in
-  let pending : centry Queue.t = Queue.create () in
-  let next_id = ref 0 in
-  let stalled = ref false in
-  (* Ops that failed fast against a backoff window this round: they hold a
-     window slot for the iteration so a dead node errors at a bounded rate
-     without throttling traffic to the live ones. *)
-  let fast_fails = ref 0 in
-  let record_ok ce =
-    samples_push samples ~t_off_ms:ce.ce_t_off_ms
-      ~lat_us:(Metrics.now_us () - ce.ce_enq_us)
-      ~kind:ce.ce_kind ~ok:true
+  let owner ce = Routing.owner routing (Routing.shard_of_key routing ce.e_key) in
+  let record ce ~ok =
+    samples_push samples ~t_off_ms:ce.e_t_off_ms
+      ~lat_us:(Metrics.now_us () - ce.e_enq_us)
+      ~kind:ce.e_kind ~ok
   in
   let record_err addr ce =
-    samples_push samples ~t_off_ms:ce.ce_t_off_ms
-      ~lat_us:(Metrics.now_us () - ce.ce_enq_us)
-      ~kind:ce.ce_kind ~ok:false;
+    record ce ~ok:false;
     (match Hashtbl.find_opt cs.cs_node_errors addr with
     | Some r -> incr r
     | None -> Hashtbl.add cs.cs_node_errors addr (ref 1));
     if List.mem addr cfg.expect_dead then cs.cs_expected <- cs.cs_expected + 1
   in
-  (* A node that closed, desynced or timed out: every request in flight
-     there becomes an error charged from its enqueue, the socket drops and
-     the backoff window opens. *)
-  let fail_node n =
-    Hashtbl.iter (fun _ ce -> record_err n.cn_addr ce) n.cn_inflight;
-    total_inflight := !total_inflight - Hashtbl.length n.cn_inflight;
-    Hashtbl.reset n.cn_inflight;
-    (match n.cn_conn with
-    | Some c -> ( try Unix.close c.cc_fd with Unix.Unix_error _ -> ())
-    | None -> ());
-    n.cn_conn <- None;
-    n.cn_retry_at <- Unix.gettimeofday () +. n.cn_backoff;
-    n.cn_backoff <- Float.min (n.cn_backoff *. 2.) backoff_cap;
+  (* Charge everything in flight on [s] as errors and close it. *)
+  let drop s =
+    Hashtbl.iter (fun _ ce -> record_err s.s_addr ce) s.s_inflight;
+    s.s_lane.l_inflight <- s.s_lane.l_inflight - Hashtbl.length s.s_inflight;
+    Hashtbl.reset s.s_inflight;
+    Buffer.clear s.s_out;
+    Option.iter (fun (fd, _) -> try Unix.close fd with Unix.Unix_error _ -> ()) s.s_conn;
+    s.s_conn <- None
+  in
+  let back_off s =
+    s.s_retry_at <- Unix.gettimeofday () +. s.s_backoff;
+    s.s_backoff <- Float.min (s.s_backoff *. 2.) backoff_cap;
     refresh ()
   in
-  let send n c ce =
-    let id = !next_id in
-    incr next_id;
-    (* Going idle -> busy: the no-rx clock starts at this send, not at the
-       last response before the idle gap, or a quiet spell would count
-       toward the timeout and fail the first request after it. *)
-    if Hashtbl.length n.cn_inflight = 0 then c.cc_last_rx <- Unix.gettimeofday ();
-    Hashtbl.replace n.cn_inflight id ce;
-    incr total_inflight;
-    let out = Buffer.create 256 in
-    Protocol.encode_request_wire out cfg.wire ~id:(Some id) ce.ce_req;
-    match Netio.write_all c.cc_fd (Buffer.contents out) with
-    | () -> ()
-    | exception (Unix.Unix_error _ | Req_failed _) -> fail_node n
+  let fail s =
+    drop s;
+    back_off s
   in
-  let dispatch ce =
-    match !routing with
+  let sock_of l addr =
+    match Hashtbl.find_opt l.l_socks addr with
+    | Some s -> s
     | None ->
-        record_err "(no-topo)" ce;
-        stalled := true;
-        refresh ()
-    | Some r -> (
-        let addr = Routing.owner r (Routing.shard_of_key r ce.ce_key) in
-        let n = node_of addr in
-        match n.cn_conn with
-        | Some c -> send n c ce
-        | None ->
-            let now = Unix.gettimeofday () in
-            if now < n.cn_retry_at then begin
-              (* Inside the backoff window: fail fast, don't hammer connect. *)
-              record_err addr ce;
-              incr fast_fails
-            end
-            else (
-              match connect_to cfg ~host:n.cn_host ~port:n.cn_port with
-              | fd ->
-                  n.cn_backoff <- backoff_init;
-                  let c =
-                    { cc_fd = fd;
-                      cc_dec = Protocol.Resp_decoder.create cfg.wire;
-                      cc_last_rx = now }
-                  in
-                  n.cn_conn <- Some c;
-                  send n c ce
-              | exception (Unix.Unix_error _ | Failure _) ->
-                  n.cn_retry_at <- now +. n.cn_backoff;
-                  n.cn_backoff <- Float.min (n.cn_backoff *. 2.) backoff_cap;
-                  record_err addr ce;
-                  incr fast_fails;
-                  refresh ()))
+        let s =
+          { s_addr = addr; s_lane = l; s_conn = None; s_inflight = Hashtbl.create (2 * cfg.pipeline);
+            s_out = Buffer.create 1024; s_backoff = backoff_init; s_retry_at = 0.; s_last_rx = 0. }
+        in
+        Hashtbl.add l.l_socks addr s;
+        socks := Array.append !socks [| s |];
+        let n = Array.length !socks in
+        pfds := Array.make n Unix.stdin;
+        pflags := Array.make n 0;
+        psocks := Array.make n s;
+        s
   in
-  let rec drain n c =
-    match Protocol.Resp_decoder.next c.cc_dec with
+  (* Connected, or connectable now; inside the backoff window (or on a
+     failed connect) the caller fails the request fast. *)
+  let connected s =
+    match s.s_conn with
+    | Some _ -> true
+    | None when Unix.gettimeofday () < s.s_retry_at -> false
+    | None -> (
+        match Netio.connect ~timeout_s:cfg.timeout_s s.s_addr with
+        | Ok fd ->
+            s.s_conn <- Some (fd, Protocol.Resp_decoder.create cfg.wire);
+            s.s_backoff <- backoff_init;
+            true
+        | Error _ ->
+            back_off s;
+            false)
+  in
+  (* Queue [ce] on its owner's socket; false if it failed fast instead. *)
+  let dispatch l ce =
+    let s = sock_of l (owner ce) in
+    if connected s then begin
+      let id = !next_id in
+      incr next_id;
+      (* Going idle -> busy: the no-rx clock starts at this send, not at the
+         last response before the idle gap, or a quiet spell would count
+         toward the timeout and fail the first request after it. *)
+      if Hashtbl.length s.s_inflight = 0 then s.s_last_rx <- Unix.gettimeofday ();
+      Hashtbl.replace s.s_inflight id ce;
+      l.l_inflight <- l.l_inflight + 1;
+      Protocol.encode_request_wire s.s_out cfg.wire ~id:(Some id) ce.e_req;
+      true
+    end
+    else begin
+      record_err s.s_addr ce;
+      false
+    end
+  in
+  let failed_fast = ref false in
+  (* Top each lane's window up — waiting requests first, then (if [fresh])
+     new ones — and ship every socket's frames as one write.  A request
+     that failed fast holds its window slot until the next round. *)
+  let fill ~fresh =
+    failed_fast := false;
+    Array.iter
+      (fun l ->
+        let held = ref 0 in
+        while
+          l.l_inflight + !held < cfg.pipeline && (fresh || not (Queue.is_empty l.l_pending))
+        do
+          let ce = if Queue.is_empty l.l_pending then new_entry cfg g ~t0 else Queue.pop l.l_pending in
+          if not (dispatch l ce) then begin
+            incr held;
+            failed_fast := true
+          end
+        done)
+      lanes;
+    Array.iter
+      (fun s ->
+        match s.s_conn with
+        | Some (fd, _) when Buffer.length s.s_out > 0 -> (
+            match Netio.write_all fd (Buffer.contents s.s_out) with
+            | () -> Buffer.clear s.s_out
+            | exception Unix.Unix_error _ -> fail s)
+        | _ -> ())
+      !socks
+  in
+  (* Settle every decoded frame; a malformed, untagged or unknown-id
+     response means the stream is out of sync — the socket is lost. *)
+  let rec drain s dec =
+    match Protocol.Resp_decoder.next dec with
     | Protocol.Dec_more -> ()
-    | Protocol.Dec_broken msg -> raise (Req_failed ("bad frame: " ^ msg))
-    | Protocol.Dec_skip (_, msg) -> raise (Req_failed ("bad response: " ^ msg))
-    | Protocol.Dec_frame (None, _) -> raise (Req_failed "untagged response on a pipelined stream")
+    | Protocol.Dec_broken _ | Protocol.Dec_skip _ | Protocol.Dec_frame (None, _) -> raise Desync
     | Protocol.Dec_frame (Some id, resp) ->
-        (match Hashtbl.find_opt n.cn_inflight id with
-        | None -> raise (Req_failed (Printf.sprintf "response for unknown id %d" id))
+        (match Hashtbl.find_opt s.s_inflight id with
+        | None -> raise Desync
         | Some ce -> (
-            Hashtbl.remove n.cn_inflight id;
-            decr total_inflight;
+            Hashtbl.remove s.s_inflight id;
+            let l = s.s_lane in
+            l.l_inflight <- l.l_inflight - 1;
             match resp with
             | Protocol.Moved (shard, epoch, addr) ->
                 cs.cs_redirects <- cs.cs_redirects + 1;
-                (match !routing with
-                | Some r -> ignore (Routing.observe r ~shard ~epoch ~addr)
-                | None -> ());
-                if ce.ce_redirects >= max_redirects then record_err n.cn_addr ce
-                else Queue.add { ce with ce_redirects = ce.ce_redirects + 1 } pending
-            | Protocol.Error _ -> record_err n.cn_addr ce
-            | _ when ce.ce_rmw ->
-                (* Read leg landed: the write leg re-routes through [pending]
+                if not fixed then ignore (Routing.observe routing ~shard ~epoch ~addr);
+                if ce.e_redirects >= max_redirects then record_err s.s_addr ce
+                else Queue.add { ce with e_redirects = ce.e_redirects + 1 } l.l_pending
+            | Protocol.Error _ -> record_err s.s_addr ce
+            | _ when ce.e_rmw ->
+                (* Read leg landed: the write leg re-routes through the lane
                    (the shard may have moved meanwhile) under the original
-                   enqueue stamp. *)
+                   enqueue stamp, so one sample spans both legs. *)
                 Queue.add
-                  { ce with
-                    ce_rmw = false;
-                    ce_req = Protocol.Set (ce.ce_key, gen_value cfg g) }
-                  pending
-            | _ -> record_ok ce));
-        drain n c
+                  { ce with e_rmw = false; e_req = Protocol.Set (ce.e_key, gen_value cfg g) }
+                  l.l_pending
+            | _ -> record ce ~ok:true));
+        drain s dec
   in
-  let live_conns () =
-    Hashtbl.fold
-      (fun _ n acc -> match n.cn_conn with Some c -> (n, c) :: acc | None -> acc)
-      nodes []
-  in
-  let read_phase ~timeout =
-    match live_conns () with
-    | [] -> Thread.delay timeout
-    | live -> (
-        match Unix.select (List.map (fun (_, c) -> c.cc_fd) live) [] [] timeout with
-        | readable, _, _ ->
-            List.iter
-              (fun (n, c) ->
-                let still_current =
-                  match n.cn_conn with Some c' -> c' == c | None -> false
-                in
-                if still_current && List.memq c.cc_fd readable then
-                  match Unix.read c.cc_fd buf 0 (Bytes.length buf) with
-                  | 0 -> fail_node n
-                  | nread -> (
-                      c.cc_last_rx <- Unix.gettimeofday ();
-                      Protocol.Resp_decoder.feed_bytes c.cc_dec buf ~off:0 ~len:nread;
-                      try drain n c with Req_failed _ -> fail_node n)
-                  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-                  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-                  | exception Unix.Unix_error _ -> fail_node n)
-              live
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-    (* The timeout: a node with traffic in flight and no bytes for a whole
-       [timeout_s] is as good as dead. *)
+  (* Fail the sockets past their request timeout, poll the rest, and read
+     and settle whatever arrived. *)
+  let read_phase ~timeout_ms =
+    let pfds = !pfds and pflags = !pflags and psocks = !psocks in
+    let n = ref 0 in
     let now = Unix.gettimeofday () in
-    Hashtbl.iter
-      (fun _ n ->
-        match n.cn_conn with
-        | Some c when Hashtbl.length n.cn_inflight > 0 && now -. c.cc_last_rx > cfg.timeout_s ->
-            fail_node n
-        | _ -> ())
-      nodes
+    Array.iter
+      (fun s ->
+        match s.s_conn with
+        | Some _ when Hashtbl.length s.s_inflight > 0 && now -. s.s_last_rx > cfg.timeout_s ->
+            fail s
+        | Some (fd, _) ->
+            pfds.(!n) <- fd;
+            pflags.(!n) <- Netio.Poll.pollin;
+            psocks.(!n) <- s;
+            incr n
+        | None -> ())
+      !socks;
+    if !n = 0 then Thread.delay (float_of_int timeout_ms /. 1000.)
+    else begin
+      ignore (Netio.Poll.wait pfds pflags ~n:!n ~timeout_ms);
+      for i = 0 to !n - 1 do
+        let s = psocks.(i) in
+        match s.s_conn with
+        | Some (fd, dec) when pflags.(i) land (Netio.Poll.pollin lor Netio.Poll.pollerr) <> 0 -> (
+            match Netio.read_nb fd buf 0 (Bytes.length buf) with
+            | `Data len -> (
+                s.s_last_rx <- Unix.gettimeofday ();
+                Protocol.Resp_decoder.feed_bytes dec buf ~off:0 ~len;
+                try drain s dec with Desync -> fail s)
+            | `Would_block -> ()
+            | `Eof | (exception Unix.Unix_error _) -> fail s)
+        | _ -> ()
+      done
+    end
   in
-  (* Bootstrap: any seed that answers TOPO will do. *)
-  while !routing = None && Unix.gettimeofday () < deadline do
-    refresh ();
-    if !routing = None then Thread.delay backoff_init
-  done;
+  let in_flight () = Array.exists (fun l -> l.l_inflight > 0) lanes in
+  let busy () = in_flight () || Array.exists (fun l -> not (Queue.is_empty l.l_pending)) lanes in
   while Unix.gettimeofday () < deadline do
-    stalled := false;
-    fast_fails := 0;
-    while !total_inflight + !fast_fails < window && not !stalled do
-      let ce =
-        if not (Queue.is_empty pending) then Queue.pop pending
-        else begin
-          let op = pick_op cfg g in
-          let key =
-            match op.g_req with
-            | Protocol.Get k | Protocol.Set (k, _) | Protocol.Del k
-            | Protocol.Update (k, _) | Protocol.Scan (k, _) ->
-                k
-            | _ -> ""
-          in
-          { ce_enq_us = Metrics.now_us ();
-            ce_t_off_ms = int_of_float ((Unix.gettimeofday () -. t0) *. 1000.);
-            ce_kind = op.g_kind;
-            ce_key = key;
-            ce_req = op.g_req;
-            ce_rmw = op.g_rmw <> None;
-            ce_redirects = 0 }
-        end
-      in
-      dispatch ce
-    done;
-    read_phase ~timeout:0.02;
-    (* Nothing useful in flight and this round only produced fast failures
-       (or there is no topology at all): pace the loop so outage errors
-       accrue at a bounded rate, like the timeouts they stand for.  With
-       live traffic in flight, [read_phase] is pacing enough. *)
-    if !stalled || (!fast_fails > 0 && !total_inflight = 0) then Thread.delay 0.05
+    fill ~fresh:true;
+    read_phase ~timeout_ms:20;
+    (* Nothing in flight and this round only failed fast: pace the loop so
+       outage errors accrue at a bounded rate, like the timeouts they stand
+       for.  With live traffic in flight, the poll is pacing enough. *)
+    if !failed_fast && not (in_flight ()) then Thread.delay 0.05
   done;
-  (* Deadline: give responses already on the wire one timeout to land, then
-     charge whatever never came back as errors. *)
+  (* Deadline: give responses already on the wire (and the RMW write legs
+     and redirects they trigger) one timeout to land, then charge whatever
+     never came back as errors. *)
   let drain_deadline = Unix.gettimeofday () +. cfg.timeout_s in
-  while !total_inflight > 0 && Unix.gettimeofday () < drain_deadline do
-    read_phase ~timeout:0.02
+  while busy () && Unix.gettimeofday () < drain_deadline do
+    fill ~fresh:false;
+    read_phase ~timeout_ms:20
   done;
-  Hashtbl.iter (fun _ n -> fail_node n) nodes
-
-let client_loop cfg ~t0 ~conn_id samples cs =
-  if cfg.cluster <> [] then cluster_loop cfg ~t0 ~conn_id samples cs
-  else if cfg.conns_per_client > 1 then multi_loop cfg ~t0 ~conn_id samples
-  else if cfg.pipeline <= 1 then sync_loop cfg ~t0 ~conn_id samples
-  else pipelined_loop cfg ~t0 ~conn_id samples
+  Array.iter (fun l -> Queue.iter (fun ce -> record_err (owner ce) ce) l.l_pending) lanes;
+  Array.iter drop !socks
 
 (* ------------------------------ aggregation ----------------------------- *)
 
@@ -1109,7 +684,11 @@ let run cfg =
   let cstats = List.init cfg.connections (fun _ -> cluster_stats_create ()) in
   let domains =
     List.mapi
-      (fun conn_id (s, cs) -> Domain.spawn (fun () -> client_loop cfg ~t0 ~conn_id s cs))
+      (fun conn_id (s, cs) ->
+        Domain.spawn (fun () ->
+            (* A cluster run no seed ever answers records no requests. *)
+            Option.iter (client cfg ~t0 ~conn_id s cs)
+              (initial_routing cfg ~deadline:(t0 +. cfg.duration_s))))
       (List.combine samples cstats)
   in
   List.iter Domain.join domains;

@@ -3,10 +3,11 @@
     latency, and errors, overall, per phase (so before/during/after a chaos
     kill are separable) and per op class.
 
-    With [pipeline] = W > 1 each connection keeps W id-tagged requests in
-    flight (responses match by id, any order); latency is stamped at
-    {e enqueue} — before the socket write — so in-window queueing delay is
-    charged to the request.  W = 1 is the v1 untagged one-at-a-time wire.
+    Each client domain runs one poll-driven loop over [conns_per_client]
+    lanes; each lane keeps [pipeline] = W id-tagged requests in flight
+    (responses match by id, any order; W = 1 is a window of one, still
+    tagged).  Latency is stamped at {e enqueue} — before the socket write —
+    so in-window queueing delay is charged to the request.
 
     A request that times out or loses its connection counts as an error and
     the client reconnects (with exponential backoff, 50 ms doubling to a
@@ -16,7 +17,8 @@
     fixed-layout histograms ({!Kex_sim.Stats.Hist}), merged exactly across
     connections.
 
-    With [cluster] non-empty the client is cluster-aware: it bootstraps
+    Every request is routed: a single-node run is a fixed one-node table
+    for [host:port].  With [cluster] non-empty the client bootstraps
     the epoch-versioned routing table with [TOPO] from any seed node,
     routes each key to its shard's owner, follows [MOVED] redirects
     (adopting strictly newer epochs only, so it chases at most one
@@ -40,12 +42,12 @@ type config = {
   scan_len : int;  (** range length for [scan] ops *)
   seed : int;  (** per-connection PRNGs derive from this *)
   timeout_s : float;
-  pipeline : int;  (** requests in flight per connection; 1 = untagged *)
+  pipeline : int;  (** id-tagged requests in flight per lane *)
   conns_per_client : int;
-      (** sockets per client domain (total connections = [connections *
-          conns_per_client]); > 1 switches the domain to a select loop
-          multiplexing its sockets, each with its own [pipeline] window,
-          always on the id-tagged wire — the connection-scaling knob *)
+      (** lanes per client domain, each with its own [pipeline] window and
+          one socket per node (total connections to a single node =
+          [connections * conns_per_client]); the domain polls all of its
+          sockets — the connection-scaling knob *)
   wire : Protocol.wire;  (** text v1 or binary v2 framing *)
   phase_marks : float list;  (** split points (seconds) for per-phase stats *)
   cluster : string list;

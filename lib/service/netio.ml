@@ -67,6 +67,59 @@ let rec write_nb fd buf off len =
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_nb fd buf off len
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> 0
 
+(* Node addresses ("host:port") and the one connect routine the load
+   generator and the server's node-to-node RPC share.  The host may be a
+   name: it goes through getaddrinfo, so "localhost:7070" works.  Every
+   failure — bad syntax, an unresolvable name, a refused connect — comes
+   back as [Error] naming the address; nothing here raises. *)
+let parse_addr addr =
+  let bad why = Error (Printf.sprintf "bad node address %S (%s)" addr why) in
+  match String.rindex_opt addr ':' with
+  | None -> bad "want host:port"
+  | Some 0 -> bad "empty host"
+  | Some i -> (
+      let port = String.sub addr (i + 1) (String.length addr - i - 1) in
+      let decimal =
+        port <> "" && String.length port <= 5 && String.for_all (fun c -> '0' <= c && c <= '9') port
+      in
+      match if decimal then int_of_string port else 0 with
+      | p when p > 0 && p < 65536 -> Ok (String.sub addr 0 i, p)
+      | _ -> bad "port must be 1-65535")
+
+let connect ~timeout_s addr =
+  let failed e = Error (Printf.sprintf "connect %s: %s" addr (Unix.error_message e)) in
+  let open_one ai =
+    match Unix.socket ai.Unix.ai_family Unix.SOCK_STREAM 0 with
+    | exception Unix.Unix_error (e, _, _) -> failed e
+    | fd -> (
+        match
+          (try
+             Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout_s;
+             Unix.setsockopt fd Unix.TCP_NODELAY true
+           with Unix.Unix_error _ -> ());
+          Unix.connect fd ai.Unix.ai_addr
+        with
+        | () -> Ok fd
+        | exception Unix.Unix_error (e, _, _) ->
+            (try Unix.close fd with Unix.Unix_error _ -> ());
+            failed e)
+  in
+  match parse_addr addr with
+  | Error _ as e -> e
+  | Ok (host, port) -> (
+      (* IPv4 only, like the server's listening socket. *)
+      match
+        Unix.getaddrinfo host (string_of_int port)
+          [ Unix.AI_FAMILY Unix.PF_INET; Unix.AI_SOCKTYPE Unix.SOCK_STREAM ]
+      with
+      | [] -> Error (Printf.sprintf "cannot resolve host %S in %S" host addr)
+      | ais ->
+          List.fold_left
+            (fun acc ai -> match acc with Ok _ -> acc | Error _ -> open_one ai)
+            (Error "") ais
+      | exception Unix.Unix_error (e, _, _) ->
+          Error (Printf.sprintf "resolve %s: %s" addr (Unix.error_message e)))
+
 (* poll(2), which [Unix] does not bind.  A reactor watching hundreds of
    sockets cannot afford select's FD_SETSIZE ceiling or its O(highest-fd)
    kernel scan per call; poll is flat arrays in, flat arrays out, which is

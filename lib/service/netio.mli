@@ -29,6 +29,17 @@ val write_nb : Unix.file_descr -> Bytes.t -> int -> int -> int
     caller's carry-over to the next writable cycle.  Raises on real errors
     ([EPIPE], [ECONNRESET], ...). *)
 
+val parse_addr : string -> (string * int, string) result
+(** ["host:port"] split at the last colon: a non-empty host and a decimal
+    port in 1..65535.  The error names the address. *)
+
+val connect : timeout_s:float -> string -> (Unix.file_descr, string) result
+(** Resolve ["host:port"] with getaddrinfo (IPv4; names such as
+    [localhost] work) and open a blocking TCP connection with
+    [TCP_NODELAY] and a [timeout_s] receive timeout, trying each resolved
+    address in turn.  Bad syntax, an unresolvable name and a failed
+    connect all come back as [Error] naming the address; it never raises. *)
+
 (** Direct binding to poll(2), which [Unix] lacks: flat parallel arrays of
     fds and event masks, reusable across event-loop cycles without
     allocation, and none of select's [FD_SETSIZE] ceiling. *)

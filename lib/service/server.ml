@@ -544,36 +544,12 @@ let scan_local t ~start ~count =
    by max_frame) and keeps the destination's per-admission batches sane. *)
 let mig_chunk = 1024
 
-let parse_addr addr =
-  match String.rindex_opt addr ':' with
-  | None -> Error (Printf.sprintf "bad node address %S (want host:port)" addr)
-  | Some i -> (
-      let host = String.sub addr 0 i in
-      match int_of_string_opt (String.sub addr (i + 1) (String.length addr - i - 1)) with
-      | Some port when port > 0 && port < 65536 -> Ok (host, port)
-      | _ -> Error (Printf.sprintf "bad port in node address %S" addr))
-
 (* A tiny blocking RPC client over the binary wire — the node-to-node leg
    of a migration.  One request in flight, bounded by a socket timeout. *)
 let rpc_connect ~addr ~timeout_s =
-  match parse_addr addr with
-  | Error msg -> Error msg
-  | Ok (host, port) -> (
-      match
-        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-        (try
-           Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout_s;
-           Unix.setsockopt fd Unix.TCP_NODELAY true
-         with Unix.Unix_error _ -> ());
-        (try Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port))
-         with e ->
-           (try Unix.close fd with Unix.Unix_error _ -> ());
-           raise e);
-        fd
-      with
-      | fd -> Ok (fd, Protocol.Resp_decoder.create Protocol.Binary, Buffer.create 4096)
-      | exception Unix.Unix_error (e, _, _) ->
-          Error (Printf.sprintf "connect %s: %s" addr (Unix.error_message e)))
+  match Netio.connect ~timeout_s addr with
+  | Error _ as e -> e
+  | Ok fd -> Ok (fd, Protocol.Resp_decoder.create Protocol.Binary, Buffer.create 4096)
 
 let rpc_close (fd, _, _) = try Unix.close fd with Unix.Unix_error _ -> ()
 

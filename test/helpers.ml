@@ -56,6 +56,12 @@ let fresh_schedulers () =
     Scheduler.burst ~seed:13 ~max_burst:24;
     Scheduler.antisocial ~seed:99 ]
 
+(* Substring test for error-message and rendering checks. *)
+let contains hay needle =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
 let tc name f = Alcotest.test_case name `Quick f
 let tc_slow name f = Alcotest.test_case name `Slow f
 

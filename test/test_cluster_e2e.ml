@@ -261,8 +261,62 @@ let test_kill_node_failover () =
               Alcotest.(check string) "survivor owns shard 1" addrs.(0) (List.assoc 1 owners)
           | r -> Alcotest.failf "TOPO answered %s" (P.print_response r)))
 
+(* HANDOFF to a node address that does not resolve: an ERR reply on the
+   wire, not a dead connection thread and a client left waiting. *)
+let test_handoff_unresolvable () =
+  with_cluster ~cfg:{ quiet with shards = 2; workers = 2; k = 1 } 2 (fun servers _ ->
+      let c = connect (Server.port servers.(0)) in
+      Fun.protect ~finally:(fun () -> close c) (fun () ->
+          match rpc c (P.Handoff (0, "no-such-host.invalid:7000")) with
+          | P.Error msg ->
+              Alcotest.(check bool) "the error names the address" true
+                (Helpers.contains msg "no-such-host.invalid")
+          | r -> Alcotest.failf "HANDOFF answered %s" (P.print_response r)))
+
+(* The cluster-aware load generator across a live migration: its table says
+   node 0 owns the shard until a MOVED teaches it otherwise, so it must
+   follow at least one redirect, and lose nothing on the way. *)
+let test_loadgen_follows_handoff () =
+  let shards = 2 in
+  with_cluster ~cfg:{ quiet with shards; workers = 2; k = 2 } 2 (fun servers addrs ->
+      let moved = ref (Error "handoff never ran") in
+      let mover =
+        Thread.create
+          (fun () ->
+            Thread.delay 0.3;
+            moved := Server.handoff servers.(0) ~shard:0 ~addr:addrs.(1))
+          ()
+      in
+      let s =
+        Kex_service.Loadgen.run
+          { Kex_service.Loadgen.default_config with
+            cluster = Array.to_list addrs;
+            connections = 2;
+            pipeline = 8;
+            duration_s = 1.0;
+            keys = 200;
+            mix = [ ("get", 60); ("set", 20); ("update", 10); ("rmw", 10) ];
+            wire = P.Binary;
+            seed = 9 }
+      in
+      Thread.join mover;
+      (match !moved with Ok () -> () | Error msg -> Alcotest.failf "handoff 0->1: %s" msg);
+      Alcotest.(check bool) "made progress" true (s.Kex_service.Loadgen.requests > 0);
+      Alcotest.(check bool)
+        (Printf.sprintf "followed a redirect (%d)" s.Kex_service.Loadgen.redirects)
+        true
+        (s.Kex_service.Loadgen.redirects >= 1);
+      Alcotest.(check int) "zero errors" 0 s.Kex_service.Loadgen.errors;
+      List.iter
+        (fun (addr, _) ->
+          Alcotest.(check bool) (addr ^ " is a real node") true (Array.mem addr addrs))
+        s.Kex_service.Loadgen.node_errors)
+
 let suite =
   [ Helpers.tc "cluster: TOPO, MOVED, STATS topology" test_topo_and_moved;
     Helpers.tc_slow "cluster: live migration under load, exact counter"
       test_migration_under_load_exact_counter;
-    Helpers.tc_slow "cluster: kill-node failover via adopt" test_kill_node_failover ]
+    Helpers.tc_slow "cluster: kill-node failover via adopt" test_kill_node_failover;
+    Helpers.tc "cluster: HANDOFF to an unresolvable name answers ERR" test_handoff_unresolvable;
+    Helpers.tc_slow "cluster: loadgen follows a mid-run handoff, zero errors"
+      test_loadgen_follows_handoff ]

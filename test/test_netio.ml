@@ -148,6 +148,41 @@ let test_poll_pollout_and_err () =
       Alcotest.(check bool) "readable-or-error on hangup" true
         (flags.(0) land (Netio.Poll.pollin lor Netio.Poll.pollerr) <> 0))
 
+(* Node addresses: the syntax check names the address, and connect returns
+   every failure — including an unresolvable name — as an Error. *)
+let test_parse_addr () =
+  let ok a = match Netio.parse_addr a with Ok hp -> hp | Error m -> Alcotest.fail m in
+  Alcotest.(check (pair string int)) "ip:port" ("127.0.0.1", 7070) (ok "127.0.0.1:7070");
+  Alcotest.(check (pair string int)) "name:port" ("localhost", 1) (ok "localhost:1");
+  List.iter
+    (fun bad ->
+      match Netio.parse_addr bad with
+      | Ok _ -> Alcotest.failf "%S accepted" bad
+      | Error msg ->
+          Alcotest.(check bool) (Printf.sprintf "error names %S" bad) true
+            (Helpers.contains msg (Printf.sprintf "%S" bad)))
+    [ "127.0.0.1-7700"; "127.0.0.1:"; ":7070"; "h:0"; "h:65536"; "h:+80"; "h:0x50"; "h:7_0" ]
+
+let test_connect () =
+  let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close listener) (fun () ->
+      Unix.bind listener (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+      Unix.listen listener 4;
+      let port = match Unix.getsockname listener with Unix.ADDR_INET (_, p) -> p | _ -> 0 in
+      (match Netio.connect ~timeout_s:1. (Printf.sprintf "localhost:%d" port) with
+      | Ok fd -> Unix.close fd
+      | Error msg -> Alcotest.failf "localhost: %s" msg);
+      List.iter
+        (fun addr ->
+          match Netio.connect ~timeout_s:1. addr with
+          | Ok fd ->
+              Unix.close fd;
+              Alcotest.failf "%S connected" addr
+          | Error msg ->
+              Alcotest.(check bool) (Printf.sprintf "error names %S" addr) true
+                (Helpers.contains msg addr))
+        [ "no-such-host.invalid:7070"; "127.0.0.1-7070" ])
+
 let suite =
   [ Helpers.tc "read retries past a receive timeout" test_read_retries_past_rcvtimeo;
     Helpers.tc "read returns 0 at EOF" test_read_eof_is_zero;
@@ -157,4 +192,6 @@ let suite =
     Helpers.tc "read_nb: Would_block / Data / Eof" test_read_nb;
     Helpers.tc "write_nb: 0 on a full buffer, resumes after drain" test_write_nb_fills_then_blocks;
     Helpers.tc "Poll.wait: per-slot readiness and timeout" test_poll_readiness;
-    Helpers.tc "Poll.wait: POLLOUT and hangup" test_poll_pollout_and_err ]
+    Helpers.tc "Poll.wait: POLLOUT and hangup" test_poll_pollout_and_err;
+    Helpers.tc "parse_addr: host:port, errors name the address" test_parse_addr;
+    Helpers.tc "connect: names resolve, failures are Errors" test_connect ]

@@ -807,6 +807,82 @@ let test_reactor_chaos_kill_c128 () =
       done;
       Alcotest.(check int) "the kill actually landed" 1 (stat "deaths" t))
 
+(* The one client loop at a window of one over two lanes, RMW in the mix:
+   both legs of each RMW ride the lane that started it, zero errors. *)
+let test_loadgen_w1_two_lanes_rmw () =
+  with_server { quiet with workers = 2; k = 2; shards = 2 } (fun t ->
+      let s =
+        Kex_service.Loadgen.run
+          { Kex_service.Loadgen.default_config with
+            port = Server.port t;
+            connections = 2;
+            conns_per_client = 2;
+            pipeline = 1;
+            duration_s = 0.5;
+            keys = 64;
+            mix = [ ("get", 70); ("set", 10); ("rmw", 20) ];
+            seed = 3 }
+      in
+      Alcotest.(check int) "zero errors" 0 s.Kex_service.Loadgen.errors;
+      match
+        List.find_opt (fun b -> b.Kex_service.Loadgen.label = "rmw") s.Kex_service.Loadgen.ops
+      with
+      | Some b -> Alcotest.(check bool) "rmw ran" true (b.Kex_service.Loadgen.requests > 0)
+      | None -> Alcotest.fail "no rmw bucket")
+
+(* A host name, not an address: resolved, not a crash. *)
+let test_loadgen_localhost () =
+  with_server { quiet with workers = 2; k = 2 } (fun t ->
+      let s =
+        Kex_service.Loadgen.run
+          { Kex_service.Loadgen.default_config with
+            host = "localhost";
+            port = Server.port t;
+            connections = 1;
+            duration_s = 0.3;
+            pipeline = 4 }
+      in
+      Alcotest.(check int) "zero errors" 0 s.Kex_service.Loadgen.errors;
+      Alcotest.(check bool) "made progress" true (s.Kex_service.Loadgen.requests > 0))
+
+(* Nothing listening: every request fails, the run still ends on time, and
+   the reconnect backoff plus fail-fast pacing bound the error count. *)
+let test_loadgen_closed_port () =
+  let port =
+    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+    let p = match Unix.getsockname fd with Unix.ADDR_INET (_, p) -> p | _ -> 0 in
+    Unix.close fd;
+    p
+  in
+  let cfg =
+    { Kex_service.Loadgen.default_config with
+      port;
+      connections = 2;
+      pipeline = 4;
+      duration_s = 1.0;
+      timeout_s = 0.5 }
+  in
+  let t0 = Unix.gettimeofday () in
+  let s = Kex_service.Loadgen.run cfg in
+  let took = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "returned within duration + timeout + 1 s (%.2fs)" took)
+    true
+    (took <= cfg.duration_s +. cfg.timeout_s +. 1.);
+  Alcotest.(check bool) "requests were made" true (s.Kex_service.Loadgen.requests > 0);
+  Alcotest.(check int) "every request failed" s.Kex_service.Loadgen.requests
+    s.Kex_service.Loadgen.errors;
+  (* At most one window of fast failures per lane per 50 ms round. *)
+  let bound =
+    cfg.connections * cfg.conns_per_client * cfg.pipeline
+    * (int_of_float (cfg.duration_s /. 0.05) + 1)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "error count bounded (%d <= %d)" s.Kex_service.Loadgen.errors bound)
+    true
+    (s.Kex_service.Loadgen.errors <= bound)
+
 let suite =
   [ Helpers.tc "CRUD over a socket" test_crud_over_socket;
     Helpers.tc "garbage stream dropped" test_garbage_stream_dropped;
@@ -832,4 +908,8 @@ let suite =
     Helpers.tc_slow "reactor: slow client paused then dropped, no stall, no leak"
       test_reactor_slow_client_dropped;
     Helpers.tc_slow "reactor: chaos kill-worker at C=128, zero errors"
-      test_reactor_chaos_kill_c128 ]
+      test_reactor_chaos_kill_c128;
+    Helpers.tc_slow "loadgen W=1 over two lanes with RMW" test_loadgen_w1_two_lanes_rmw;
+    Helpers.tc "loadgen resolves a host name" test_loadgen_localhost;
+    Helpers.tc_slow "loadgen against a closed port: bounded errors, on time"
+      test_loadgen_closed_port ]

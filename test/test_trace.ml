@@ -63,18 +63,8 @@ let test_pp_smoke () =
   let res = run_traced ~tracer:tr ~scheduler:(Scheduler.round_robin ()) () in
   assert_ok res;
   let s = Format.asprintf "%a" (Trace.pp ~last:25) tr in
-  let contains hay needle =
-    let nl = String.length needle and hl = String.length hay in
-    let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-    go 0
-  in
   Alcotest.(check bool) "prints something" true (String.length s > 100);
   Alcotest.(check bool) "mentions events" true (contains s "exit-end")
-
-let contains hay needle =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
 
 let test_schedule_capture_disabled () =
   (* The schedule grows one element per step for the whole run; turning
