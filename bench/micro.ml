@@ -133,6 +133,51 @@ let reactor_tests () =
   in
   Test.make_grouped ~name:"reactor" [ mailbox; wakeup ]
 
+(* Ring dispatch: the n requests of one socket read handed to a shard's
+   ring as n [Wqueue.push]es (a lock and a wakeup each) or as one
+   [Wqueue.push_list], drained by a [pop_batch] worker on another domain.
+   Each run waits until the worker has popped all n, so a row prices push,
+   wakeup and pop together.  Returns the tests and the worker's teardown. *)
+let ring_tests () =
+  let module Q = Kex_service.Wqueue in
+  let q = Q.create () in
+  let popped = Atomic.make 0 in
+  let worker =
+    Domain.spawn (fun () ->
+        let rec loop () =
+          match Q.pop_batch q ~max:32 with
+          | [] -> ()
+          | items ->
+              ignore (Atomic.fetch_and_add popped (List.length items));
+              loop ()
+        in
+        loop ())
+  in
+  let expected = ref 0 in
+  let row name n push =
+    let items = List.init n Fun.id in
+    Test.make ~name
+      (Staged.stage (fun () ->
+           expected := !expected + n;
+           push items;
+           while Atomic.get popped < !expected do
+             Domain.cpu_relax ()
+           done))
+  in
+  let rows =
+    List.concat_map
+      (fun n ->
+        [ row (Printf.sprintf "ring n=%02d n x push" n) n
+            (List.iter (fun x -> ignore (Q.push q x)));
+          row (Printf.sprintf "ring n=%02d push_list" n) n (fun xs -> ignore (Q.push_list q xs))
+        ])
+      [ 1; 4; 16 ]
+  in
+  ( Test.make_grouped ~name:"ring" rows,
+    fun () ->
+      ignore (Q.close q);
+      Domain.join worker )
+
 let tests () =
   Test.make_grouped ~name:"runtime"
     [ mcs_test ();
@@ -147,54 +192,39 @@ let tests () =
       universal_test ();
       resilient_test () ]
 
+(* Run one group and return its (name, ns/run) OLS estimates, sorted. *)
+let estimates tests =
+  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
+  let ols = Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |] in
+  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] tests in
+  Hashtbl.fold
+    (fun name est acc ->
+      let ns =
+        match Analyze.OLS.estimates est with Some (v :: _) -> v | Some [] | None -> nan
+      in
+      (name, ns) :: acc)
+    (Analyze.all ols Instance.monotonic_clock raw)
+    []
+  |> List.sort compare
+
 let run () =
   Out.section "RT: Bechamel microbenchmarks (single-domain latency, ns/op)";
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] (tests ()) in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name est acc ->
-        let ns =
-          match Analyze.OLS.estimates est with Some (v :: _) -> v | Some [] | None -> nan
-        in
-        (name, ns) :: acc)
-      results []
-  in
-  List.iter
-    (fun (name, ns) -> Out.row "  %-32s %10.1f ns/op@." name ns)
-    (List.sort compare rows);
+  List.iter (fun (name, ns) -> Out.row "  %-32s %10.1f ns/op@." name ns) (estimates (tests ()));
   Out.section "RT: wire codec microbench (encode/decode, ops/s)";
-  let codec_raw = Benchmark.all cfg Instance.[ monotonic_clock ] (codec_tests ()) in
-  let codec_results = Analyze.all ols Instance.monotonic_clock codec_raw in
-  let codec_rows =
-    Hashtbl.fold
-      (fun name est acc ->
-        let ns =
-          match Analyze.OLS.estimates est with Some (v :: _) -> v | Some [] | None -> nan
-        in
-        (name, ns) :: acc)
-      codec_results []
-  in
   List.iter
     (fun (name, ns) ->
       Out.row "  %-32s %10.1f ns/op %10.2f Mops/s@." name ns (1000. /. ns))
-    (List.sort compare codec_rows);
+    (estimates (codec_tests ()));
   Out.section "RT: reactor plumbing microbench (mailbox + wakeup pipe, ns/op)";
-  let reactor_raw = Benchmark.all cfg Instance.[ monotonic_clock ] (reactor_tests ()) in
-  let reactor_results = Analyze.all ols Instance.monotonic_clock reactor_raw in
-  let reactor_rows =
-    Hashtbl.fold
-      (fun name est acc ->
-        let ns =
-          match Analyze.OLS.estimates est with Some (v :: _) -> v | Some [] | None -> nan
-        in
-        (name, ns) :: acc)
-      reactor_results []
-  in
   List.iter
     (fun (name, ns) -> Out.row "  %-32s %10.1f ns/op@." name ns)
-    (List.sort compare reactor_rows)
+    (estimates (reactor_tests ()));
+  Out.section "RT: ring dispatch microbench (n pushes vs one push_list, ns/item)";
+  let ring, stop_ring = ring_tests () in
+  let rows = estimates ring in
+  stop_ring ();
+  List.iter
+    (fun (name, ns) ->
+      let n = Scanf.sscanf (List.nth (String.split_on_char '=' name) 1) "%d" Fun.id in
+      Out.row "  %-32s %10.1f ns/item@." name (ns /. float_of_int n))
+    rows

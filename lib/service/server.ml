@@ -3,15 +3,25 @@
 
    Data path: the store is split into S shards, each an independent
    Kv_store behind its *own* Kex_lock/Assignment admission wrapper, with a
-   per-shard MPMC submission ring.  Connection threads (one sysprem thread
-   per accepted socket) deframe requests, route them to a shard by key
-   hash, and either
+   per-shard MPMC submission ring.  Accepted sockets are owned by the
+   connection plane: R reactor event-loop domains multiplexing them with
+   poll(2) ([reactors] > 0, what `kexd serve` runs by default), or one
+   systhread per socket ([reactors] = 0, `--conn-threads`, the baseline).
+   Both planes serve each socket read the same way ([serve_read]):
 
-   - block on a per-item mailbox (untagged v1 requests: one in flight,
-     responses in order), or
-   - stream them (id-tagged requests): the item carries the connection and
-     the id, the thread keeps reading — a client may hold a whole window
-     of requests in flight per connection.
+   1. stage — deframe every request in the read; each mutation (and each
+      GET when reads go through admission) is appended to its shard's
+      stage, everything else is held in frame order;
+   2. flush — each non-empty stage goes to its shard in one step: one
+      fence critical section, one ring push, one worker wakeup;
+   3. inline-serve — wait-free GET/SCAN and the control plane are answered
+      on the connection's own thread or loop, after the flush, so a
+      mutation never waits behind its own read's lookups.
+
+   A staged item either carries a per-item mailbox (untagged v1 requests
+   on the thread plane: one in flight, awaited in order) or streams (the
+   item carries the connection and the id, the plane keeps reading — a
+   client may hold a whole window of requests in flight per connection).
 
    Worker domains have shard affinity: each drains *its* shard's ring in
    batches, enters the shard store through one (N,k)-assignment admission
@@ -328,19 +338,21 @@ let exec_batch sh ~lpid items =
           List.map (fun _ -> msg) store_items
     in
     let lat_us = Metrics.now_us () - t0 in
-    let n = List.length store_items in
-    let share_us = lat_us / max 1 n in
     Metrics.incr_batches sh.sh_metrics;
     (* Group responses per connection so a pipelining client gets one
        coalesced write per (batch, connection) instead of one per request. *)
     let flushes : (conn * Buffer.t * int ref) list ref = ref [] in
     List.iter2
       (fun it resp ->
+        (* Every op of the batch waited for the whole batch — one
+           admission, then every apply and the publish — before any could
+           be answered, so each is charged the batch's full time.  Splitting
+           it n ways would make the per-op percentiles fall as batches grow
+           while no op got faster.  Recorded before the reply goes out, so
+           a client that sees its reply also sees it in STATS. *)
         (match (class_of_req it.req, resp) with
-        | Some cls, (Protocol.Error _ : Protocol.response) ->
-            ignore cls;
-            Metrics.incr_errors sh.sh_metrics
-        | Some cls, _ -> Metrics.record sh.sh_metrics cls ~lat_us:share_us
+        | Some _, (Protocol.Error _ : Protocol.response) -> Metrics.incr_errors sh.sh_metrics
+        | Some cls, _ -> Metrics.record sh.sh_metrics cls ~lat_us
         | None, _ -> ());
         match it.reply with
         | Sync mb -> deliver mb resp
@@ -465,16 +477,6 @@ let chaos_loop t events =
                 | Error msg -> logf t "chaos: %s" msg)))
     events
 
-(* ------------------------------ connections ----------------------------- *)
-
-let key_of_req (req : Protocol.request) =
-  match req with
-  | Protocol.Get key | Protocol.Set (key, _) | Protocol.Del key | Protocol.Update (key, _) ->
-      key
-  | Protocol.Scan _ | Protocol.Ping | Protocol.Stats | Protocol.Kill _ | Protocol.Topo
-  | Protocol.Handoff _ | Protocol.Mig_import _ ->
-      ""
-
 (* --------------------------- cluster data path --------------------------- *)
 
 let owns t shard = match t.cluster with None -> true | Some cl -> cl.cl_owned.(shard)
@@ -500,21 +502,21 @@ let topo_resp t =
       let self = Printf.sprintf "127.0.0.1:%d" t.actual_port in
       Protocol.Topo_reply (1, List.init t.cfg.shards (fun s -> (s, self)))
 
-(* Push one item at its shard's ring, against the migration fence: wait out
-   an active fence, re-check ownership (the fence-holder may have flipped
-   routing), and count the item in flight.  The check-then-push is under
-   [sh_fence_m], so a fence set after our check cannot miss our item — the
-   drain sees [sh_inflight] > 0. *)
+(* Push a list of items at their shard's ring, against the migration fence:
+   wait out an active fence, re-check ownership (the fence-holder may have
+   flipped routing), and count the items in flight.  The check-then-push is
+   under [sh_fence_m], so a fence set after our check cannot miss our items
+   — the drain sees [sh_inflight] > 0. *)
 type dispatched = Pushed | Not_owner | Shutting_down
 
-let dispatch_item t sh item =
+let dispatch t sh items =
   Sync.with_lock sh.sh_fence_m (fun () ->
       while sh.sh_fenced do
         Condition.wait sh.sh_fence_c sh.sh_fence_m
       done;
       if not (owns t sh.sh_id) then Not_owner
-      else if Wqueue.push sh.sh_queue item then begin
-        Atomic.incr sh.sh_inflight;
+      else if Wqueue.push_list sh.sh_queue items then begin
+        ignore (Atomic.fetch_and_add sh.sh_inflight (List.length items));
         Pushed
       end
       else Shutting_down)
@@ -713,18 +715,22 @@ let adopt t ~shard =
   | None -> Error "not in cluster mode"
   | Some cl -> mig_import t ~shard ~epoch:(Routing.epoch cl.cl_routing + 1) ~final:true []
 
+(* ------------------------------ connections ----------------------------- *)
+
 (* SCAN result sizes are clamped so one request can't build a response
    anywhere near [max_frame]. *)
 let max_scan = 4096
 
-(* Inline reply from the connection thread, echoing the request id when the
-   request carried one.  Framed into [out] in the connection's own wire and
-   flushed once per drained socket read, so a pipelined window of inline
-   GETs costs one write — the connection thread's counterpart of the
-   workers' coalesced flushes. *)
+(* Inline reply on the connection's own thread or loop, echoing the request
+   id when the request carried one.  Framed into [out] in the connection's
+   own wire and flushed once per drained socket read, so a pipelined window
+   of inline GETs costs one write — the connection plane's counterpart of
+   the workers' coalesced flushes. *)
 let respond_now conn out tag resp = Protocol.encode_response_wire out conn.c_wire ~id:tag resp
 
-let handle_request t conn out tag (req : Protocol.request) =
+(* Everything a read answers itself: wait-free GET/SCAN and the control
+   plane.  Mutations never get here — [stage_frame] sends them to a ring. *)
+let serve_inline t conn out tag (req : Protocol.request) =
   match req with
   | Protocol.Ping -> respond_now conn out tag Protocol.Pong
   | Protocol.Stats -> respond_now conn out tag (Protocol.Stats_reply (stats_pairs t))
@@ -771,7 +777,7 @@ let handle_request t conn out tag (req : Protocol.request) =
       | Error msg ->
           Metrics.incr_errors t.conn_metrics;
           respond_now conn out tag (Protocol.Error msg))
-  | Protocol.Get key when t.cfg.wait_free_reads ->
+  | Protocol.Get key ->
       (* The wait-free read plane: answer from the owning shard's
          published snapshot, right here on the connection thread — no
          ring, no worker, no admission slot.  Publication happens before
@@ -799,80 +805,139 @@ let handle_request t conn out tag (req : Protocol.request) =
       Metrics.record t.conn_metrics Metrics.C_scan ~lat_us:(Metrics.now_us () - t0);
       Metrics.incr_inline_reads t.conn_metrics;
       respond_now conn out tag (Protocol.Range pairs)
-  | req -> (
-      let shard = shard_of_key t (key_of_req req) in
-      let sh = t.shard_ctxs.(shard) in
-      match tag with
-      | None when conn.c_rc = None -> (
-          (* v1 contract: one in flight, in order — dispatch and wait. *)
-          let mb = mailbox () in
-          match dispatch_item t sh { req; reply = Sync mb } with
-          | Pushed -> respond_now conn out None (await mb)
-          | Not_owner -> respond_now conn out None (moved_resp t shard)
-          | Shutting_down ->
-              Metrics.incr_errors t.conn_metrics;
-              respond_now conn out None (Protocol.Error "server shutting down"))
-      | _ -> (
-          (* Pipelined — or untagged on a reactor, where blocking on a
-             mailbox would stall every connection of the loop: dispatch
-             and keep going; a worker writes the response (coalesced with
-             its batch-mates).  Untagged responses stay in order because
-             the v1 contract keeps one request in flight. *)
-          Atomic.incr conn.c_pending;
-          match dispatch_item t sh { req; reply = Stream (conn, tag) } with
-          | Pushed -> ()
-          | Not_owner ->
-              ignore (Atomic.fetch_and_add conn.c_pending (-1));
-              respond_now conn out tag (moved_resp t shard)
-          | Shutting_down ->
-              ignore (Atomic.fetch_and_add conn.c_pending (-1));
-              Metrics.incr_errors t.conn_metrics;
-              respond_now conn out tag (Protocol.Error "server shutting down")))
+  | Protocol.Set _ | Protocol.Del _ | Protocol.Update _ ->
+      respond_now conn out tag (Protocol.Error "not an inline request")
 
-let handle_conn t conn =
+(* A read's inline work, kept in frame order until its stage is flushed. *)
+type inline =
+  | Serve of int option * Protocol.request
+  | Answer of int option * Protocol.response  (* parse errors *)
+  | Await of mailbox  (* thread plane: an untagged v1 mutation's reply *)
+
+(* Per reactor, and per connection thread: [st_shard.(s)] holds the items
+   staged for shard [s] during one read, newest first. *)
+type stage = { st_shard : item list array; mutable st_inline : inline list }
+
+let new_stage t = { st_shard = Array.make t.cfg.shards []; st_inline = [] }
+
+let stage_frame t st conn tag (req : Protocol.request) =
+  let stage key =
+    let reply =
+      match tag with
+      | None when conn.c_rc = None ->
+          (* v1 contract: one in flight, in order — the connection thread
+             awaits the reply in frame order, after the flush. *)
+          let mb = mailbox () in
+          st.st_inline <- Await mb :: st.st_inline;
+          Sync mb
+      | _ ->
+          (* Pipelined — or untagged on a reactor, where blocking on a
+             mailbox would stall every connection of the loop: a worker
+             writes the response (coalesced with its batch-mates).
+             Untagged responses stay in order because the v1 contract
+             keeps one request in flight. *)
+          Atomic.incr conn.c_pending;
+          Stream (conn, tag)
+    in
+    let s = shard_of_key t key in
+    st.st_shard.(s) <- { req; reply } :: st.st_shard.(s)
+  in
+  match req with
+  | Protocol.Get key when not t.cfg.wait_free_reads -> stage key
+  | Protocol.Set (key, _) | Protocol.Del key | Protocol.Update (key, _) -> stage key
+  | Protocol.Get _ | Protocol.Scan _ | Protocol.Ping | Protocol.Stats | Protocol.Kill _
+  | Protocol.Topo | Protocol.Handoff _ | Protocol.Mig_import _ ->
+      st.st_inline <- Serve (tag, req) :: st.st_inline
+
+(* A staged item its ring refused, answered with its own tag. *)
+let refuse conn out item resp =
+  match item.reply with
+  | Sync mb -> deliver mb resp
+  | Stream (_, tag) ->
+      ignore (Atomic.fetch_and_add conn.c_pending (-1));
+      respond_now conn out tag resp
+
+(* Each non-empty stage goes to its shard in one step: one fence critical
+   section, one ring lock, one worker wakeup. *)
+let flush_stage t st conn out =
+  Array.iteri
+    (fun s staged ->
+      if staged <> [] then begin
+        st.st_shard.(s) <- [];
+        let items = List.rev staged in
+        match dispatch t t.shard_ctxs.(s) items with
+        | Pushed -> ()
+        | Not_owner -> List.iter (fun it -> refuse conn out it (moved_resp t s)) items
+        | Shutting_down ->
+            List.iter
+              (fun it ->
+                Metrics.incr_errors t.conn_metrics;
+                refuse conn out it (Protocol.Error "server shutting down"))
+              items
+      end)
+    st.st_shard
+
+(* One socket read, for both connection planes: decode every frame, stage
+   the mutations per shard, push each shard's stage, and only then answer
+   the inline frames in order.  Flushing first keeps a mutation from
+   waiting behind its own read's wait-free lookups.  Inline replies land
+   in [out]; [false] means hang up. *)
+let serve_read t st conn out bytes len =
   let dec = conn.c_dec in
-  let buf = Bytes.create 8192 in
-  let out = Buffer.create 1024 in
+  Protocol.Req_decoder.feed_bytes dec bytes ~off:0 ~len;
+  (* The first bytes decide the wire; workers read [c_wire] only for
+     requests dispatched after this point, so the plain write is published
+     by the ring's mutex. *)
+  (match Protocol.Req_decoder.wire dec with
+  | Some w -> conn.c_wire <- w
+  | None -> ());
+  let answer tag resp = st.st_inline <- Answer (tag, resp) :: st.st_inline in
   let rec drain () =
     match Protocol.Req_decoder.next dec with
     | Protocol.Dec_more -> true
     | Protocol.Dec_frame (tag, req) ->
-        handle_request t conn out tag req;
+        stage_frame t st conn tag req;
         drain ()
     | Protocol.Dec_skip (tag, msg) ->
         (* Malformed frame with intact framing: answer ERR and keep the
            stream — the decoder already consumed the bad frame's bytes. *)
         Metrics.incr_errors t.conn_metrics;
-        respond_now conn out tag (Protocol.Error ("parse: " ^ msg));
+        answer tag (Protocol.Error ("parse: " ^ msg));
         drain ()
     | Protocol.Dec_broken msg ->
         (* The byte stream itself is garbage: say why, then hang up.  The
-           ERR reply (flushed below) is the clean-close contract — a
-           pipelining client sees a reply, not a silent RST. *)
+           ERR reply is the clean-close contract — a pipelining client sees
+           a reply, not a silent RST. *)
         Metrics.incr_errors t.conn_metrics;
-        respond_now conn out None (Protocol.Error ("protocol: " ^ msg));
+        answer None (Protocol.Error ("protocol: " ^ msg));
         logf t "connection: closing garbage stream (%s)" msg;
         false
   in
-  let flush_out () =
-    if Buffer.length out > 0 then begin
-      write_conn conn (Buffer.contents out);
-      Buffer.clear out
-    end
-  in
+  let keep = drain () in
+  flush_stage t st conn out;
+  let inline = List.rev st.st_inline in
+  st.st_inline <- [];
+  List.iter
+    (function
+      | Serve (tag, req) -> serve_inline t conn out tag req
+      | Answer (tag, resp) -> respond_now conn out tag resp
+      | Await mb -> respond_now conn out None (await mb))
+    inline;
+  keep
+
+let handle_conn t conn =
+  let st = new_stage t in
+  let buf = Bytes.create 8192 in
+  let out = Buffer.create 1024 in
   let rec serve () =
     match Netio.read conn.c_fd buf 0 (Bytes.length buf) with
     | 0 -> ()
     | n ->
-        Protocol.Req_decoder.feed_bytes dec buf ~off:0 ~len:n;
-        (* The first bytes decide the wire; workers read [c_wire] only for
-           requests dispatched after this point, so the plain write is
-           published by the ring's mutex. *)
-        (match Protocol.Req_decoder.wire dec with
-        | Some w -> conn.c_wire <- w
-        | None -> ());
-        let keep = drain () in
-        flush_out ();
+        let keep = serve_read t st conn out buf n in
+        if Buffer.length out > 0 then begin
+          write_conn conn (Buffer.contents out);
+          Buffer.clear out
+        end;
         if keep then serve ()
     | exception Unix.Unix_error _ -> ()
   in
@@ -893,38 +958,16 @@ let handle_conn t conn =
 (* The reactor side of the connection plane.  All four handlers run on the
    owning reactor's loop domain; the only cross-thread traffic is the
    mailbox they answer to.  [scratch] collects every inline reply produced
-   while draining one socket read (pipelined GETs, MOVED, parse errors...)
-   and lands in the connection's output buffer as one append — the reactor
-   counterpart of the connection thread's flush-per-drained-read. *)
+   while serving one socket read (pipelined GETs, MOVED, parse errors...)
+   and lands in the connection's output buffer as one append. *)
 let reactor_handlers t =
+  let st = new_stage t in
   let scratch = Buffer.create 4096 in
   { Reactor.on_attach = (fun rc -> (Reactor.user rc).c_rc <- Some rc);
     on_data =
       (fun rc bytes len ->
-        let conn = Reactor.user rc in
-        let dec = conn.c_dec in
-        Protocol.Req_decoder.feed_bytes dec bytes ~off:0 ~len;
-        (match Protocol.Req_decoder.wire dec with
-        | Some w -> conn.c_wire <- w
-        | None -> ());
         Buffer.clear scratch;
-        let rec drain () =
-          match Protocol.Req_decoder.next dec with
-          | Protocol.Dec_more -> true
-          | Protocol.Dec_frame (tag, req) ->
-              handle_request t conn scratch tag req;
-              drain ()
-          | Protocol.Dec_skip (tag, msg) ->
-              Metrics.incr_errors t.conn_metrics;
-              respond_now conn scratch tag (Protocol.Error ("parse: " ^ msg));
-              drain ()
-          | Protocol.Dec_broken msg ->
-              Metrics.incr_errors t.conn_metrics;
-              respond_now conn scratch None (Protocol.Error ("protocol: " ^ msg));
-              logf t "connection: closing garbage stream (%s)" msg;
-              false
-        in
-        let keep = drain () in
+        let keep = serve_read t st (Reactor.user rc) scratch bytes len in
         if Buffer.length scratch > 0 then Reactor.append_buffer rc scratch;
         keep);
     on_drained = (fun rc -> Atomic.get (Reactor.user rc).c_pending = 0);

@@ -7,11 +7,15 @@
     route to shards by hash, so per-shard contention stays <= [k] while
     aggregate mutator parallelism is [shards * k].
 
+    Each socket read is served in three steps on either connection plane:
+    its mutations are staged per shard, each shard's stage is pushed to
+    its ring in one step (one fence check, one ring lock, one worker
+    wakeup), and only then are the read's inline requests answered.
     Workers drain their shard's ring in batches and enter the store through
     one admission per batch, amortizing the wrapper; responses to pipelined
     (id-tagged) requests bound for the same connection are flushed as one
-    coalesced write.  Untagged requests keep the v1 contract: the connection
-    thread blocks on a mailbox and answers in order.
+    coalesced write.  Untagged requests keep the v1 contract: one in
+    flight, answered in order (a connection thread awaits a mailbox).
 
     Up to [k-1] workers {e of one shard} may crash (chaos schedule or the
     [KILL] admin command) without a single client-visible failure — their

@@ -16,14 +16,19 @@ let create () =
   { m = Mutex.create (); c = Condition.create (); front = []; front_len = 0;
     q = Queue.create (); closed = false }
 
-let push t x =
+(* One ring lock and one wakeup for a whole list: the connection plane
+   stages every mutation of a socket read bound for this shard and pushes
+   them here together, so a worker wakes once and pops them as one batch. *)
+let push_list t xs =
   Kex_sync.Sync.with_lock t.m (fun () ->
       let accepted = not t.closed in
-      if accepted then begin
-        Queue.push x t.q;
+      if accepted && xs <> [] then begin
+        List.iter (fun x -> Queue.push x t.q) xs;
         Condition.signal t.c
       end;
       accepted)
+
+let push t x = push_list t [ x ]
 
 let push_front t x =
   Kex_sync.Sync.with_lock t.m (fun () ->

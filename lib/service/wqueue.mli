@@ -9,6 +9,12 @@ val create : unit -> 'a t
 val push : 'a t -> 'a -> bool
 (** Enqueue at the back; [false] if the queue is closed (item refused). *)
 
+val push_list : 'a t -> 'a list -> bool
+(** Enqueue a list at the back, in list order, under one lock acquisition
+    with one consumer wakeup; [false] (and nothing enqueued) if the queue
+    is closed.  A blocked {!pop_batch} wakes once and, when the list fits
+    its [max], receives the whole list as one batch. *)
+
 val push_front : 'a t -> 'a -> bool
 (** Enqueue at the front — used to re-dispatch the claimed request of a
     crashed worker ahead of new traffic. *)

@@ -48,6 +48,24 @@ let rpc c r =
   write_all c.fd (P.frame (P.print_request r));
   recv c
 
+let recv_tagged c =
+  let rec go () =
+    match P.Decoder.next c.dec with
+    | Error msg -> failwith ("client decoder: " ^ msg)
+    | Ok (Some payload) -> (
+        match P.parse_response_tagged payload with
+        | Ok (Some id, r) -> (id, r)
+        | Ok (None, _) -> failwith ("untagged response on pipelined stream: " ^ payload)
+        | Error msg -> failwith ("client parse: " ^ msg))
+    | Ok None -> (
+        match Unix.read c.fd c.buf 0 (Bytes.length c.buf) with
+        | 0 -> failwith "server closed the connection"
+        | n ->
+            P.Decoder.feed c.dec (Bytes.sub_string c.buf 0 n);
+            go ())
+  in
+  go ()
+
 let assert_resp ctx expected actual =
   Alcotest.(check string) ctx (P.print_response expected) (P.print_response actual)
 
@@ -312,6 +330,55 @@ let test_loadgen_follows_handoff () =
           Alcotest.(check bool) (addr ^ " is a real node") true (Array.mem addr addrs))
         s.Kex_service.Loadgen.node_errors)
 
+(* Staged dispatch against a handed-off shard, on both planes: every item
+   staged for it in one read is answered MOVED with its own tag, while its
+   batch-mates for an owned shard are served; the refused items leave no
+   pending count behind, so the connection closes as soon as the client
+   hangs up (a leak would hold it for the 5 s drain bound). *)
+let test_staged_moved_after_handoff () =
+  let shards = 4 in
+  List.iter
+    (fun (plane, reactors) ->
+      with_cluster ~cfg:{ quiet with shards; workers = 2; k = 1; reactors } 2
+        (fun servers addrs ->
+          (match Server.handoff servers.(0) ~shard:0 ~addr:addrs.(1) with
+          | Ok () -> ()
+          | Error msg -> Alcotest.failf "%s: handoff: %s" plane msg);
+          let gone = key_for_shard ~shards 0 and home = key_for_shard ~shards 2 in
+          let stat name =
+            match List.assoc_opt name (Server.stats_pairs servers.(0)) with
+            | Some v -> v
+            | None -> Alcotest.failf "STATS has no %S" name
+          in
+          let c = connect (Server.port servers.(0)) in
+          let reqs =
+            Array.init 12 (fun id ->
+                if id >= 8 then P.Set (home, "kept")
+                else if id mod 2 = 0 then P.Set (gone, "lost")
+                else P.Update (gone, 1))
+          in
+          let out = Buffer.create 512 in
+          Array.iteri
+            (fun id r -> Buffer.add_string out (P.frame (P.print_request_tagged ~id r)))
+            reqs;
+          write_all c.fd (Buffer.contents out);
+          let seen = Array.make 12 false in
+          for _ = 1 to 12 do
+            let id, resp = recv_tagged c in
+            if seen.(id) then Alcotest.failf "%s: duplicate response id %d" plane id;
+            seen.(id) <- true;
+            let expect = if id >= 8 then P.Ok else P.Moved (0, 2, addrs.(1)) in
+            assert_resp (Printf.sprintf "%s: id %d" plane id) expect resp
+          done;
+          Alcotest.(check int) (plane ^ ": one MOVED per item") 8 (stat "served_moved");
+          close c;
+          let deadline = Unix.gettimeofday () +. 2. in
+          while stat "open_conns" > 0 && Unix.gettimeofday () < deadline do
+            Thread.delay 0.01
+          done;
+          Alcotest.(check int) (plane ^ ": connection closed cleanly") 0 (stat "open_conns")))
+    [ ("threads", 0); ("reactor", 2) ]
+
 let suite =
   [ Helpers.tc "cluster: TOPO, MOVED, STATS topology" test_topo_and_moved;
     Helpers.tc_slow "cluster: live migration under load, exact counter"
@@ -319,4 +386,6 @@ let suite =
     Helpers.tc_slow "cluster: kill-node failover via adopt" test_kill_node_failover;
     Helpers.tc "cluster: HANDOFF to an unresolvable name answers ERR" test_handoff_unresolvable;
     Helpers.tc_slow "cluster: loadgen follows a mid-run handoff, zero errors"
-      test_loadgen_follows_handoff ]
+      test_loadgen_follows_handoff;
+    Helpers.tc "cluster: staged items for a handed-off shard get MOVED each"
+      test_staged_moved_after_handoff ]

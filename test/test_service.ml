@@ -883,6 +883,170 @@ let test_loadgen_closed_port () =
     true
     (s.Kex_service.Loadgen.errors <= bound)
 
+(* ------------------------- staged dispatch, e2e -------------------------- *)
+
+(* A key routed to [shard], found by probing "prefix0", "prefix1", ... *)
+let key_in t ~shard prefix =
+  let rec go i =
+    let k = prefix ^ string_of_int i in
+    if Server.shard_of_key t k = shard then k else go (i + 1)
+  in
+  go 0
+
+(* Ship [reqs] as one write, tagged by their index, and collect one
+   response per id; a duplicate or missing id fails the test. *)
+let window c reqs =
+  let out = Buffer.create 1024 in
+  Array.iteri (fun id r -> Buffer.add_string out (P.frame (P.print_request_tagged ~id r))) reqs;
+  send_raw c (Buffer.contents out);
+  let seen = Array.make (Array.length reqs) None in
+  for _ = 1 to Array.length reqs do
+    let id, resp = recv_tagged c in
+    if id < 0 || id >= Array.length reqs then Alcotest.failf "unknown response id %d" id;
+    if seen.(id) <> None then Alcotest.failf "duplicate response id %d" id;
+    seen.(id) <- Some resp
+  done;
+  Array.map Option.get seen
+
+let planes = [ ("threads", 0); ("reactor", 2) ]
+
+(* One write carries 16 tagged SET/UPDATE/GET over all 4 shards, on both
+   planes: every id answered exactly once, and each shard's counter ends
+   at the sum of its acknowledged deltas. *)
+let test_staged_window_all_shards () =
+  List.iter
+    (fun (plane, reactors) ->
+      with_server { quiet with workers = 2; k = 2; shards = 4; reactors } (fun t ->
+          let c = connect (Server.port t) in
+          Unix.setsockopt_float c.fd Unix.SO_RCVTIMEO 5.0;
+          Fun.protect ~finally:(fun () -> close c) (fun () ->
+              let ctr = Array.init 4 (fun shard -> key_in t ~shard "ctr") in
+              let plain = Array.init 4 (fun shard -> key_in t ~shard "kv") in
+              let acked = Array.make 4 0 in
+              for round = 1 to 5 do
+                let reqs =
+                  Array.init 16 (fun id ->
+                      let s = id mod 4 in
+                      match id / 4 with
+                      | 0 -> P.Set (plain.(s), Printf.sprintf "r%d" round)
+                      | 1 | 2 -> P.Update (ctr.(s), id + round)
+                      | _ -> P.Get plain.(s))
+                in
+                Array.iteri
+                  (fun id resp ->
+                    let ctx = Printf.sprintf "%s round %d id %d" plane round id in
+                    match (reqs.(id), resp) with
+                    | P.Set _, P.Ok | P.Get _, P.Value _ -> ()
+                    | P.Update (_, d), P.Int _ -> acked.(id mod 4) <- acked.(id mod 4) + d
+                    | _, r -> Alcotest.failf "%s answered %s" ctx (P.print_response r))
+                  (window c reqs)
+              done;
+              Array.iteri
+                (fun s key ->
+                  assert_resp
+                    (Printf.sprintf "%s: shard %d counter = acked deltas" plane s)
+                    (P.Int acked.(s))
+                    (rpc c (P.Update (key, 0))))
+                ctr)))
+    planes
+
+(* The best of 20 runs of [ops] as one admission batch on a private store
+   holding [bindings]: a lower bound on what the server's worker spends on
+   the same batch. *)
+let best_batch_us bindings ops =
+  let s = Kex_resilient.Kv_store.create ~n:1 ~k:1 () in
+  Kex_resilient.Kv_store.apply_changes s ~pid:0 (List.map (fun (k, v) -> (k, Some v)) bindings);
+  let best = ref max_float in
+  for _ = 1 to 20 do
+    let t0 = Unix.gettimeofday () in
+    ignore (Kex_resilient.Kv_store.perform_batch s ~pid:0 ops);
+    best := Float.min !best (Unix.gettimeofday () -. t0)
+  done;
+  !best *. 1e6
+
+(* The point of staging: one read's mutations for a shard reach its ring in
+   one push, so its one worker pops them as a single admission batch.  And
+   STATS charges each of the batch's ops the whole batch time: the shard
+   holds 4k keys behind a 400-byte common prefix, so every UPDATE walks
+   costly compares and the batch takes well over 16 times the clock's
+   resolution.  Every sample must then be at least half of what the same
+   16 ops cost here as one batch; a batch time split 16 ways is far below. *)
+let test_staged_one_batch_per_read () =
+  let prefix = String.make 400 'p' in
+  List.iter
+    (fun (plane, reactors) ->
+      with_server { quiet with workers = 1; k = 1; shards = 2; reactors } (fun t ->
+          let bindings =
+            List.filter
+              (fun (k, _) -> Server.shard_of_key t k = 1)
+              (List.init 8192 (fun i -> (prefix ^ string_of_int i, "0")))
+          in
+          Server.preload t (List.to_seq bindings);
+          let c = connect (Server.port t) in
+          Unix.setsockopt_float c.fd Unix.SO_RCVTIMEO 5.0;
+          Fun.protect ~finally:(fun () -> close c) (fun () ->
+              let key = key_in t ~shard:1 (prefix ^ "one") in
+              Array.iter
+                (function
+                  | P.Int _ -> ()
+                  | r -> Alcotest.failf "%s: UPDATE answered %s" plane (P.print_response r))
+                (window c (Array.make 16 (P.Update (key, 1))));
+              Alcotest.(check int) (plane ^ ": 16 updates served") 16 (stat "served_update" t);
+              Alcotest.(check int) (plane ^ ": one admission batch") 1 (stat "batches" t);
+              let batch_us = stat "max_us_update" t in
+              Alcotest.(check int) (plane ^ ": one sample per op, all equal") batch_us
+                (stat "mean_us_update" t);
+              let floor_us =
+                best_batch_us bindings (List.init 16 (fun _ -> Kex_resilient.Kv_store.Fetch_add (key, 1)))
+              in
+              if float_of_int batch_us < floor_us /. 2. then
+                Alcotest.failf "%s: each op charged %d us, below half the batch's %.1f us" plane
+                  batch_us floor_us)))
+    planes
+
+(* Items staged while the server is stopping are answered, not dropped.
+   Shard 0's only worker is dead, so its ring never drains and [stop]
+   spends its whole drain wait; a window staged in that pause gets OK from
+   the live shard and "server shutting down" for each of shard 0's items
+   when [stop] closes the ring. *)
+let test_staged_during_stop () =
+  List.iter
+    (fun (plane, reactors) ->
+      let t = Server.start { quiet with workers = 1; k = 1; shards = 2; reactors } in
+      let dead = key_in t ~shard:0 "dead" and live = key_in t ~shard:1 "live" in
+      (match Server.kill_worker t 0 with Ok () -> () | Error msg -> Alcotest.fail msg);
+      let c = connect (Server.port t) in
+      Unix.setsockopt_float c.fd Unix.SO_RCVTIMEO 5.0;
+      Fun.protect ~finally:(fun () -> close c) (fun () ->
+          (* The worker dies on its next batch; this request goes back to
+             the front of the ring and stays there. *)
+          send_raw c (P.frame (P.print_request_tagged ~id:8 (P.Set (dead, "x"))));
+          let deadline = Unix.gettimeofday () +. 5. in
+          while stat "deaths" t = 0 && Unix.gettimeofday () < deadline do
+            Thread.delay 0.01
+          done;
+          Alcotest.(check int) (plane ^ ": worker dead") 1 (stat "deaths" t);
+          let stopper = Thread.create (fun () -> Server.stop ~drain_timeout_s:1.5 t) () in
+          Thread.delay 0.2;
+          let reqs = Array.init 8 (fun id -> P.Set ((if id mod 2 = 0 then dead else live), "y")) in
+          let out = Buffer.create 256 in
+          Array.iteri
+            (fun id r -> Buffer.add_string out (P.frame (P.print_request_tagged ~id r)))
+            reqs;
+          send_raw c (Buffer.contents out);
+          let seen = Array.make 9 false in
+          for _ = 1 to 9 do
+            let id, resp = recv_tagged c in
+            if seen.(id) then Alcotest.failf "%s: duplicate response id %d" plane id;
+            seen.(id) <- true;
+            let expect =
+              if id mod 2 = 0 then P.Error "server shutting down" else P.Ok
+            in
+            assert_resp (Printf.sprintf "%s: id %d" plane id) expect resp
+          done;
+          Thread.join stopper))
+    planes
+
 let suite =
   [ Helpers.tc "CRUD over a socket" test_crud_over_socket;
     Helpers.tc "garbage stream dropped" test_garbage_stream_dropped;
@@ -912,4 +1076,10 @@ let suite =
     Helpers.tc_slow "loadgen W=1 over two lanes with RMW" test_loadgen_w1_two_lanes_rmw;
     Helpers.tc "loadgen resolves a host name" test_loadgen_localhost;
     Helpers.tc_slow "loadgen against a closed port: bounded errors, on time"
-      test_loadgen_closed_port ]
+      test_loadgen_closed_port;
+    Helpers.tc "staged: one write of 16 across 4 shards, both planes"
+      test_staged_window_all_shards;
+    Helpers.tc "staged: a read's mutations for a shard are one batch"
+      test_staged_one_batch_per_read;
+    Helpers.tc_slow "staged: items staged during stop are answered"
+      test_staged_during_stop ]
