@@ -164,24 +164,17 @@ let sweep_cmd =
                ("p99", Int s.p99_remote) ]
             @ match bound with Some b -> [ ("bound", Int b) ] | None -> [])
         in
-        let doc =
-          Obj
-            [ ("schema", String "kexclusion-sweep/v1");
-              ("git_rev", String (Kex_service.Provenance.git_rev ()));
-              ("hostname", String (Kex_service.Provenance.hostname ()));
-              ("ocaml", String Sys.ocaml_version);
-              ("algo", String (Kexclusion.Registry.algo_name algo));
-              ("model", String (Format.asprintf "%a" Cost_model.pp_model model));
-              ("n", Int n);
-              ("k", Int k);
-              ("iterations", Int iterations);
-              ("over", String (match over with `N -> "n" | `C -> "contention"));
-              ("points", List (Stdlib.List.map point points)) ]
-        in
-        let oc = open_out file in
-        output_string oc (to_string ~indent:2 doc);
-        output_char oc '\n';
-        close_out oc);
+        to_file file
+          (Obj
+             ([ ("schema", String "kexclusion-sweep/v1") ]
+             @ Kex_service.Provenance.fields ()
+             @ [ ("algo", String (Kexclusion.Registry.algo_name algo));
+                 ("model", String (Format.asprintf "%a" Cost_model.pp_model model));
+                 ("n", Int n);
+                 ("k", Int k);
+                 ("iterations", Int iterations);
+                 ("over", String (match over with `N -> "n" | `C -> "contention"));
+                 ("points", List (Stdlib.List.map point points)) ])));
     0
   in
   Cmd.v
@@ -266,33 +259,7 @@ let hunt_cmd =
 
 (* -------------------------------- serve ---------------------------------- *)
 
-let runtime_algo_conv =
-  let parse = function
-    | "naive" -> Ok Kex_runtime.Kex_lock.Naive
-    | "inductive" -> Ok Kex_runtime.Kex_lock.Inductive
-    | "tree" -> Ok Kex_runtime.Kex_lock.Tree
-    | "fastpath" -> Ok Kex_runtime.Kex_lock.Fast_path
-    | "graceful" -> Ok Kex_runtime.Kex_lock.Graceful
-    | "dsm-fastpath" -> Ok Kex_runtime.Kex_lock.Dsm_fast_path
-    | s ->
-        Error
-          (`Msg
-            (Printf.sprintf
-               "unknown algorithm %S (use naive, inductive, tree, fastpath, graceful or \
-                dsm-fastpath)"
-               s))
-  in
-  let print ppf a =
-    Format.pp_print_string ppf
-      (match a with
-      | Kex_runtime.Kex_lock.Naive -> "naive"
-      | Kex_runtime.Kex_lock.Inductive -> "inductive"
-      | Kex_runtime.Kex_lock.Tree -> "tree"
-      | Kex_runtime.Kex_lock.Fast_path -> "fastpath"
-      | Kex_runtime.Kex_lock.Graceful -> "graceful"
-      | Kex_runtime.Kex_lock.Dsm_fast_path -> "dsm-fastpath")
-  in
-  Arg.conv (parse, print)
+let runtime_algo_conv = Arg.enum Kex_runtime.Kex_lock.algos
 
 let chaos_conv =
   let parse s =
@@ -303,6 +270,38 @@ let chaos_conv =
 
 let port_arg = Arg.(value & opt int 7070 & info [ "port"; "p" ] ~doc:"TCP port (0 = ephemeral)")
 let quiet_arg = Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"suppress progress output")
+
+(* Flags the service commands share. *)
+let admission_k_arg =
+  Arg.(value & opt int 2 & info [ "k"; "degree" ] ~doc:"per-shard admission bound (k <= workers)")
+
+let runtime_algo_arg =
+  Arg.(
+    value
+    & opt runtime_algo_conv Kex_runtime.Kex_lock.Fast_path
+    & info [ "algo" ] ~doc:"naive | inductive | tree | fastpath | graceful | dsm-fastpath")
+
+let value_size_arg = Arg.(value & opt int 16 & info [ "value-size" ] ~doc:"SET payload bytes")
+let prng_seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"PRNG seed")
+let cell_conns_arg = Arg.(value & opt int 4 & info [ "connections"; "c" ] ~doc:"client domains")
+let cell_keys_arg = Arg.(value & opt int 64 & info [ "keys" ] ~doc:"keyspace size")
+
+let cell_duration_arg =
+  Arg.(value & opt float 2. & info [ "duration" ] ~docv:"S" ~doc:"seconds of load per cell")
+
+let sweep_json_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "json" ] ~docv:"FILE" ~doc:"write the kexclusion-serve/v6 sweep record")
+
+(* The load-driving commands' exit code: the sweep gate's verdict over
+   their cells (a plain loadgen run is one cell). *)
+let gate_exit cmd = function
+  | Ok () -> 0
+  | Error msg ->
+      Format.eprintf "kexd %s: %s@." cmd msg;
+      1
 
 let serve_cmd =
   let doc = "serve the (k-1)-resilient KV store over TCP with a worker-pool admission wrapper" in
@@ -328,19 +327,10 @@ let serve_cmd =
   let workers_arg =
     Arg.(value & opt int 4 & info [ "workers"; "w" ] ~doc:"worker domains per shard")
   in
-  let k_arg =
-    Arg.(value & opt int 2 & info [ "k"; "degree" ] ~doc:"per-shard admission bound (k <= workers)")
-  in
   let shards_arg =
     Arg.(
       value & opt int 1
       & info [ "shards"; "s" ] ~doc:"independent store shards, each with its own admission wrapper")
-  in
-  let algo_arg =
-    Arg.(
-      value
-      & opt runtime_algo_conv Kex_runtime.Kex_lock.Fast_path
-      & info [ "algo" ] ~doc:"naive | inductive | tree | fastpath | graceful | dsm-fastpath")
   in
   let chaos_arg =
     Arg.(
@@ -393,12 +383,11 @@ let serve_cmd =
     let log = if quiet then fun _ -> () else fun s -> print_endline s; flush stdout in
     match
       Kex_service.Server.run ?duration_s:duration
-        { Kex_service.Server.port; workers; k; shards; algo; chaos;
+        { Kex_service.Server.default_config with
+          port; workers; k; shards; algo; chaos;
           wait_free_reads = not admission_reads;
           cluster = Option.map (fun addrs -> (node, addrs)) cluster;
           reactors = (if conn_threads then 0 else max 0 reactors);
-          out_hwm = Kex_service.Server.default_config.Kex_service.Server.out_hwm;
-          slow_drain_s = Kex_service.Server.default_config.Kex_service.Server.slow_drain_s;
           log }
     with
     | () -> 0
@@ -411,8 +400,8 @@ let serve_cmd =
   in
   Cmd.v (Cmd.info "serve" ~doc ~man)
     Term.(
-      const run $ port_arg $ workers_arg $ k_arg $ shards_arg $ algo_arg $ chaos_arg
-      $ duration_arg $ admission_reads_arg $ cluster_arg $ node_arg $ reactors_arg
+      const run $ port_arg $ workers_arg $ admission_k_arg $ shards_arg $ runtime_algo_arg
+      $ chaos_arg $ duration_arg $ admission_reads_arg $ cluster_arg $ node_arg $ reactors_arg
       $ conn_threads_arg $ quiet_arg)
 
 (* ------------------------------- loadgen ---------------------------------- *)
@@ -457,7 +446,6 @@ let loadgen_cmd =
       & opt dist_conv Kex_service.Keydist.Uniform
       & info [ "dist" ] ~doc:"key distribution: uniform, zipfian (YCSB theta=0.99) or latest")
   in
-  let value_size_arg = Arg.(value & opt int 16 & info [ "value-size" ] ~doc:"SET payload bytes") in
   let value_size_max_arg =
     Arg.(
       value & opt int 0
@@ -468,13 +456,9 @@ let loadgen_cmd =
     Arg.(value & opt int 16 & info [ "scan-len" ] ~doc:"range length for scan ops")
   in
   let wire_conv =
-    let parse = function
-      | "text" -> Ok Kex_service.Protocol.Text
-      | "binary" | "bin" -> Ok Kex_service.Protocol.Binary
-      | s -> Error (`Msg (Printf.sprintf "unknown wire %S (use text or binary)" s))
-    in
-    let print ppf w = Format.pp_print_string ppf (Kex_service.Protocol.wire_name w) in
-    Arg.conv (parse, print)
+    Arg.enum
+      [ ("text", Kex_service.Protocol.Text); ("binary", Kex_service.Protocol.Binary);
+        ("bin", Kex_service.Protocol.Binary) ]
   in
   let wire_arg =
     Arg.(
@@ -482,7 +466,6 @@ let loadgen_cmd =
       & opt wire_conv Kex_service.Protocol.Text
       & info [ "wire" ] ~doc:"framing: text (v1) or binary (v2); the server sniffs per connection")
   in
-  let lg_seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"PRNG seed") in
   let timeout_arg =
     Arg.(value & opt float 2. & info [ "timeout" ] ~docv:"S" ~doc:"per-request timeout (timeouts count as errors)")
   in
@@ -554,18 +537,9 @@ let loadgen_cmd =
     | summary ->
         if not quiet then Format.printf "%a" Kex_service.Loadgen.pp_summary summary;
         Option.iter (fun file -> Kex_service.Loadgen.emit_json ~file cfg summary) json;
-        let unexpected =
-          summary.Kex_service.Loadgen.errors - summary.Kex_service.Loadgen.expected_errors
-        in
-        if summary.Kex_service.Loadgen.requests <= summary.Kex_service.Loadgen.errors then begin
-          Format.eprintf "kexd loadgen: no request succeeded — is the server up?@.";
-          1
-        end
-        else if fail_on_errors && unexpected > 0 then begin
-          Format.eprintf "kexd loadgen: %d unexpected failed requests@." unexpected;
-          1
-        end
-        else 0
+        gate_exit "loadgen"
+          (Kex_service.Sweep.gate ~fail_on_errors
+             [ { Kex_service.Sweep.section = "loadgen"; params = []; gate = Gated; summary } ])
     | exception Unix.Unix_error (e, fn, _) ->
         Format.eprintf "kexd loadgen: %s: %s@." fn (Unix.error_message e);
         1
@@ -573,7 +547,7 @@ let loadgen_cmd =
   Cmd.v (Cmd.info "loadgen" ~doc)
     Term.(
       const run $ host_arg $ port_arg $ conns_arg $ duration_arg $ mix_arg $ keys_arg
-      $ dist_arg $ value_size_arg $ value_size_max_arg $ scan_len_arg $ wire_arg $ lg_seed_arg
+      $ dist_arg $ value_size_arg $ value_size_max_arg $ scan_len_arg $ wire_arg $ prng_seed_arg
       $ timeout_arg $ pipeline_arg $ conns_per_client_arg $ phase_marks_arg $ json_arg
       $ cluster_arg $ expect_dead_arg $ fail_on_errors_arg $ quiet_arg)
 
@@ -617,33 +591,11 @@ let serve_sweep_cmd =
   let workers_arg =
     Arg.(value & opt int 2 & info [ "workers"; "w" ] ~doc:"worker domains per shard")
   in
-  let k_arg =
-    Arg.(value & opt int 2 & info [ "k"; "degree" ] ~doc:"per-shard admission bound (k <= workers)")
-  in
-  let algo_arg =
-    Arg.(
-      value
-      & opt runtime_algo_conv Kex_runtime.Kex_lock.Fast_path
-      & info [ "algo" ] ~doc:"naive | inductive | tree | fastpath | graceful | dsm-fastpath")
-  in
-  let conns_arg = Arg.(value & opt int 4 & info [ "connections"; "c" ] ~doc:"client domains") in
-  let duration_arg =
-    Arg.(value & opt float 2. & info [ "duration" ] ~docv:"S" ~doc:"seconds of load per cell")
-  in
-  let keys_arg = Arg.(value & opt int 64 & info [ "keys" ] ~doc:"keyspace size") in
-  let value_size_arg = Arg.(value & opt int 16 & info [ "value-size" ] ~doc:"SET payload bytes") in
-  let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"PRNG seed") in
   let kills_arg =
     Arg.(
       value
       & opt (some int) None
       & info [ "kills" ] ~doc:"workers killed mid-cell (default k-1; 0 disables chaos)")
-  in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE" ~doc:"write the kexclusion-serve/v6 sweep record")
   in
   let reactors_arg =
     Arg.(
@@ -666,88 +618,44 @@ let serve_sweep_cmd =
   in
   let run shards_list pipeline_list workers k algo connections duration keys value_size seed
       kills reactors wire_keys json fail_on_errors quiet =
+    let module Sw = Kex_service.Sweep in
+    let open Kex_service.Json in
     let kills = Option.value kills ~default:(max 0 (k - 1)) in
     let mix = [ ("get", 70); ("set", 20); ("update", 10) ] in
-    let run_cell ?(reactors = 0) ?(conns_per_client = 1) ~shards ~pipeline ~mix
-        ~wait_free_reads ~kills ~kill_at () =
-      (* Untargeted kills pick the lowest-index live worker, i.e. they pile
-         into shard 0 — the per-shard resilience experiment. *)
-      let chaos =
-        List.init kills (fun i ->
-            { Kex_service.Chaos.at_s = kill_at +. (0.05 *. float_of_int i);
-              action = Kex_service.Chaos.Kill_worker; target = None })
-      in
-      let server =
-        Kex_service.Server.start
-          { Kex_service.Server.port = 0; workers; k; shards; algo; chaos; wait_free_reads;
-            cluster = None; reactors;
-            out_hwm = Kex_service.Server.default_config.Kex_service.Server.out_hwm;
-            slow_drain_s = Kex_service.Server.default_config.Kex_service.Server.slow_drain_s;
-            log = (fun _ -> ()) }
-      in
-      let cfg =
-        { Kex_service.Loadgen.host = "127.0.0.1";
-          port = Kex_service.Server.port server;
-          connections;
-          duration_s = duration;
-          mix;
-          keys;
-          dist = Kex_service.Keydist.Uniform;
-          value_size;
-          value_size_max = 0;
-          scan_len = 16;
-          seed;
-          timeout_s = 5.;
-          pipeline;
-          conns_per_client;
-          wire = Kex_service.Protocol.Text;
-          phase_marks = (if kills > 0 then [ kill_at ] else []);
-          cluster = [];
-          expect_dead = [] }
-      in
-      let summary = Kex_service.Loadgen.run cfg in
-      Kex_service.Server.stop server;
-      summary
+    let server = { Kex_service.Server.default_config with port = 0; workers; k; algo } in
+    let lg =
+      { Kex_service.Loadgen.default_config with
+        connections; duration_s = duration; mix; keys; value_size; seed; timeout_s = 5. }
     in
-    (* Successful GETs per second — the read-plane comparison metric. *)
-    let get_rps (s : Kex_service.Loadgen.summary) =
-      match
-        Stdlib.List.find_opt (fun b -> b.Kex_service.Loadgen.label = "get") s.Kex_service.Loadgen.ops
-      with
-      | Some b when s.Kex_service.Loadgen.wall_s > 0. ->
-          float_of_int (b.Kex_service.Loadgen.requests - b.Kex_service.Loadgen.errors)
-          /. s.Kex_service.Loadgen.wall_s
-      | _ -> 0.
+    let on_cell = if quiet then ignore else Format.printf "%a@." Sw.pp_cell in
+    let load ?(gate = Sw.Gated) section params config = { Sw.section; params; gate; config } in
+    (* Untargeted kills pick the lowest-index live worker, i.e. they pile
+       into shard 0 — the per-shard resilience experiment. *)
+    let kill_steps n ~at =
+      List.init n (fun i ->
+          { Sw.at_s = at +. (0.05 *. float_of_int i); node = 0;
+            action = Sw.Kill Kex_service.Chaos.Kill_worker })
     in
-    if not quiet then
-      Format.printf "%-7s %-9s %9s %7s %12s %9s %9s@." "shards" "pipeline" "requests" "errors"
-        "req/s" "p50_us" "p99_us";
-    let cells =
-      Stdlib.List.concat_map
+    let matrix =
+      List.concat_map
         (fun shards ->
-          Stdlib.List.map
+          List.concat_map
             (fun pipeline ->
-              let s =
-                run_cell ~shards ~pipeline ~mix ~wait_free_reads:true ~kills
-                  ~kill_at:(duration /. 2.) ()
-              in
-              if not quiet then
-                Format.printf "%-7d %-9d %9d %7d %12.0f %9d %9d@." shards pipeline
-                  s.Kex_service.Loadgen.requests s.Kex_service.Loadgen.errors
-                  s.Kex_service.Loadgen.throughput_rps s.Kex_service.Loadgen.p50_us
-                  s.Kex_service.Loadgen.p99_us;
-              (shards, pipeline, s))
+              Sw.run ~on_cell ~steps:(kill_steps kills ~at:(duration /. 2.))
+                (Sw.In_process { server with shards })
+                [ load "sweep"
+                    [ ("shards", Int shards); ("pipeline", Int pipeline); ("kills", Int kills) ]
+                    { lg with pipeline } ])
             pipeline_list)
         shards_list
     in
-    let headline =
-      (* The (max S, max W) cell is the configuration the sweep argues for. *)
-      Stdlib.List.fold_left
-        (fun acc (s, w, sum) ->
-          match acc with
-          | Some (s', w', _) when (s', w') >= (s, w) -> acc
-          | _ -> Some (s, w, sum))
-        None cells
+    (* The (max S, max W) cell is the configuration the sweep argues for
+       (the record's headline); every cell after the matrix runs there. *)
+    let shards = List.fold_left max 1 shards_list
+    and pipeline = List.fold_left max 1 pipeline_list in
+    let at ?(kills = 0) mix =
+      [ ("shards", Int shards); ("pipeline", Int pipeline);
+        ("mix", String (Kex_service.Loadgen.mix_to_string mix)); ("kills", Int kills) ]
     in
     (* The read-plane quad: the same (max S, max W) cell under a GET-heavy
        mix, with GETs routed through admission vs. the wait-free snapshot
@@ -757,29 +665,21 @@ let serve_sweep_cmd =
        answering at full rate on a dead shard while admission GETs park
        behind its queue.  Wedged cells use a pure-GET mix so the wait-free
        side's zero errors is an assertion, not luck (any mutation routed to
-       the dead shard would stall its connection). *)
+       the dead shard would stall its connection).  The admission-wedged
+       cell is the deliberately degraded baseline — its timeouts are the
+       experiment, so it is exempt from the gate; the wait-free-wedged cell
+       is NOT: zero errors there is the availability assertion. *)
     let read_mix = [ ("get", 95); ("set", 5) ] in
-    let wedged_mix = [ ("get", 100) ] in
-    let rp_shards, rp_pipeline =
-      match headline with Some (s, w, _) -> (s, w) | None -> (1, 1)
-    in
-    let read_cells =
-      Stdlib.List.map
-        (fun (label, wfr, wedged) ->
-          let mix = if wedged then wedged_mix else read_mix in
+    let read_path =
+      List.concat_map
+        (fun (reads, wait_free_reads, wedged) ->
+          let mix = if wedged then [ ("get", 100) ] else read_mix in
           let kills = if wedged then workers else 0 in
-          let s =
-            run_cell ~shards:rp_shards ~pipeline:rp_pipeline ~mix ~wait_free_reads:wfr ~kills
-              ~kill_at:(duration /. 4.) ()
-          in
-          if not quiet then
-            Format.printf
-              "reads=%-17s (S=%d W=%d %s) %9d req %7d err %12.0f req/s  get %9.0f/s@." label
-              rp_shards rp_pipeline
-              (Kex_service.Loadgen.mix_to_string mix)
-              s.Kex_service.Loadgen.requests s.Kex_service.Loadgen.errors
-              s.Kex_service.Loadgen.throughput_rps (get_rps s);
-          (label, mix, kills, s))
+          Sw.run ~on_cell ~steps:(kill_steps kills ~at:(duration /. 4.))
+            (Sw.In_process { server with shards; wait_free_reads })
+            [ load
+                ~gate:(if wedged && not wait_free_reads then Sw.Baseline else Sw.Gated)
+                "read_path" (("reads", String reads) :: at ~kills mix) { lg with pipeline; mix } ])
         [ ("admission", false, false);
           ("wait-free", true, false);
           ("admission-wedged", false, true);
@@ -792,63 +692,24 @@ let serve_sweep_cmd =
        here fails the gate.  One shared server keeps the million-key preload
        out of the per-cell cost and means all four cells read the same
        store. *)
-    let wire_mix = [ ("get", 95); ("set", 5) ] in
-    let wire_cells =
+    let wire =
       if wire_keys <= 0 then []
-      else begin
-        let server =
-          Kex_service.Server.start
-            { Kex_service.Server.port = 0; workers; k; shards = rp_shards; algo; chaos = [];
-              wait_free_reads = true; cluster = None; reactors = 0;
-              out_hwm = Kex_service.Server.default_config.Kex_service.Server.out_hwm;
-              slow_drain_s = Kex_service.Server.default_config.Kex_service.Server.slow_drain_s;
-              log = (fun _ -> ()) }
-        in
+      else
         let value = String.make (max 1 value_size) 'v' in
-        Kex_service.Server.preload server
-          (Seq.init wire_keys (fun i -> (Kex_service.Keydist.key_of_index i, value)));
-        let cells =
-          Stdlib.List.map
-            (fun (wire, dist) ->
-              let cfg =
-                { Kex_service.Loadgen.host = "127.0.0.1";
-                  port = Kex_service.Server.port server;
-                  connections;
-                  duration_s = duration;
-                  mix = wire_mix;
-                  keys = wire_keys;
-                  dist;
-                  value_size;
-                  value_size_max = 0;
-                  scan_len = 16;
-                  seed;
-                  timeout_s = 5.;
-                  pipeline = rp_pipeline;
-                  conns_per_client = 1;
-                  wire;
-                  phase_marks = [];
-                  cluster = [];
-                  expect_dead = [] }
-              in
-              let s = Kex_service.Loadgen.run cfg in
-              if not quiet then
-                Format.printf
-                  "wire=%-6s dist=%-8s (S=%d W=%d keys=%d) %9d req %7d err %12.0f req/s  p99 \
-                   %6d us@."
-                  (Kex_service.Protocol.wire_name wire)
-                  (Kex_service.Keydist.dist_name dist)
-                  rp_shards rp_pipeline wire_keys s.Kex_service.Loadgen.requests
-                  s.Kex_service.Loadgen.errors s.Kex_service.Loadgen.throughput_rps
-                  s.Kex_service.Loadgen.p99_us;
-              (wire, dist, s))
-            [ (Kex_service.Protocol.Text, Kex_service.Keydist.Uniform);
-              (Kex_service.Protocol.Text, Kex_service.Keydist.Zipfian);
-              (Kex_service.Protocol.Binary, Kex_service.Keydist.Uniform);
-              (Kex_service.Protocol.Binary, Kex_service.Keydist.Zipfian) ]
-        in
-        Kex_service.Server.stop server;
-        cells
-      end
+        Sw.run ~on_cell
+          ~preload:(Seq.init wire_keys (fun i -> (Kex_service.Keydist.key_of_index i, value)))
+          (Sw.In_process { server with shards })
+          (List.map
+             (fun (wire, dist) ->
+               load "wire"
+                 (("wire", String (Kex_service.Protocol.wire_name wire))
+                 :: ("dist", String (Kex_service.Keydist.dist_name dist))
+                 :: ("keys", Int wire_keys) :: at read_mix)
+                 { lg with pipeline; mix = read_mix; keys = wire_keys; dist; wire })
+             [ (Kex_service.Protocol.Text, Kex_service.Keydist.Uniform);
+               (Kex_service.Protocol.Text, Kex_service.Keydist.Zipfian);
+               (Kex_service.Protocol.Binary, Kex_service.Keydist.Uniform);
+               (Kex_service.Protocol.Binary, Kex_service.Keydist.Zipfian) ])
     in
     (* The connection-scaling cells: the same (max S, max W) cell at C total
        connections for C in {4, 64, 256} — the 4 client domains each
@@ -863,232 +724,47 @@ let serve_sweep_cmd =
        bottlenecks both planes on the same shared shard admission and
        washes the difference out.
 
-       Unlike every other cell, the server here runs OUT of process (the
-       sweep re-execs its own binary as [kexd serve]): in-process, client
-       and server domains share one runtime's stop-the-world GC barriers
-       and the planes' difference drowns in that coupling — and a child
-       process is the honest shape of the claim anyway, since the planes
-       are compared as deployed servers, not as library calls. *)
-    let algo_name =
-      match algo with
-      | Kex_runtime.Kex_lock.Naive -> "naive"
-      | Kex_runtime.Kex_lock.Inductive -> "inductive"
-      | Kex_runtime.Kex_lock.Tree -> "tree"
-      | Kex_runtime.Kex_lock.Fast_path -> "fastpath"
-      | Kex_runtime.Kex_lock.Graceful -> "graceful"
-      | Kex_runtime.Kex_lock.Dsm_fast_path -> "dsm-fastpath"
-    in
-    let run_cell_extern ~reactors ~conns_per_client ~shards ~pipeline ~mix () =
-      let start_child attempt =
-        let port = 7300 + (((Unix.getpid () * 7) + (attempt * 131)) mod 20000) in
-        let plane =
-          if reactors > 0 then [ "--reactors"; string_of_int reactors ]
-          else [ "--conn-threads" ]
-        in
-        let args =
-          [ "kexd"; "serve"; "--port"; string_of_int port; "--shards";
-            string_of_int shards; "--workers"; string_of_int workers; "-k";
-            string_of_int k; "--algo"; algo_name; "--duration";
-            (* Belt and braces: the child exits on its own even if the
-               parent dies before the SIGTERM below. *)
-            Printf.sprintf "%.0f" (duration +. 60.) ]
-          @ plane
-        in
-        let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
-        let pid =
-          Unix.create_process Sys.executable_name (Array.of_list args) devnull devnull
-            devnull
-        in
-        Unix.close devnull;
-        let deadline = Unix.gettimeofday () +. 5. in
-        (* Ready when the child's listener accepts; a dead child (port
-           clash) shows up as waitpid reaping it. *)
-        let rec ready () =
-          let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-          match Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port)) with
-          | () ->
-              Unix.close fd;
-              true
-          | exception Unix.Unix_error _ ->
-              (try Unix.close fd with Unix.Unix_error _ -> ());
-              if Unix.gettimeofday () > deadline then false
-              else if fst (Unix.waitpid [ Unix.WNOHANG ] pid) <> 0 then false
-              else begin
-                Thread.delay 0.02;
-                ready ()
-              end
-        in
-        if ready () then Some (pid, port)
-        else begin
-          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-          (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
-          None
-        end
-      in
-      let rec spawn attempt =
-        if attempt > 8 then failwith "conn-scale: could not start the child server"
-        else match start_child attempt with Some c -> c | None -> spawn (attempt + 1)
-      in
-      let pid, port = spawn 0 in
-      Fun.protect
-        ~finally:(fun () ->
-          (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
-          try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
-        (fun () ->
-          Kex_service.Loadgen.run
-            { Kex_service.Loadgen.host = "127.0.0.1"; port; connections;
-              duration_s = duration; mix; keys; dist = Kex_service.Keydist.Uniform;
-              value_size; value_size_max = 0; scan_len = 16; seed; timeout_s = 5.;
-              pipeline; conns_per_client; wire = Kex_service.Protocol.Text;
-              phase_marks = []; cluster = []; expect_dead = [] })
-    in
-    let conn_scale_cells =
-      Stdlib.List.concat_map
+       Unlike every other cell, the server here runs OUT of process (a
+       [kexd serve] child): in-process, client and server domains share one
+       runtime's stop-the-world GC barriers and the planes' difference
+       drowns in that coupling — and a child process is the honest shape of
+       the claim anyway, since the planes are compared as deployed servers,
+       not as library calls. *)
+    let conn_scale =
+      List.concat_map
         (fun conns ->
-          Stdlib.List.map
-            (fun (mode, r) ->
-              let conns_per_client = max 1 (conns / max 1 connections) in
-              let s =
-                run_cell_extern ~reactors:r ~conns_per_client ~shards:rp_shards
-                  ~pipeline:rp_pipeline ~mix:read_mix ()
-              in
-              if not quiet then
-                Format.printf
-                  "conns=%-4d plane=%-8s (S=%d W=%d R=%d) %9d req %7d err %12.0f req/s  p99 \
-                   %6d us@."
-                  conns mode rp_shards rp_pipeline r s.Kex_service.Loadgen.requests
-                  s.Kex_service.Loadgen.errors s.Kex_service.Loadgen.throughput_rps
-                  s.Kex_service.Loadgen.p99_us;
-              (mode, r, conns, s))
+          List.concat_map
+            (fun (plane, r) ->
+              Sw.run ~on_cell
+                (Sw.Child { server with shards; reactors = r })
+                [ load "conn_scale"
+                    (("plane", String plane) :: ("reactors", Int r) :: ("conns", Int conns)
+                    :: at read_mix)
+                    { lg with pipeline; mix = read_mix;
+                      conns_per_client = max 1 (conns / max 1 connections) } ])
             [ ("threads", 0); ("reactor", max 1 reactors) ])
         [ 4; 64; 256 ]
     in
-    (match (json, headline) with
-    | Some file, Some (hs, hw, hsum) ->
-        let open Kex_service.Json in
-        let cell_json (shards, pipeline, (s : Kex_service.Loadgen.summary)) =
-          Obj
-            [ ("shards", Int shards);
-              ("pipeline", Int pipeline);
-              ("kills", Int kills);
-              ("requests", Int s.requests);
-              ("errors", Int s.errors);
-              ("throughput_rps", Float s.throughput_rps);
-              ("p50_us", Int s.p50_us);
-              ("p99_us", Int s.p99_us);
-              ("max_us", Int s.max_us) ]
-        in
-        let read_cell_json (label, mix, kills, (s : Kex_service.Loadgen.summary)) =
-          Obj
-            [ ("reads", String label);
-              ("shards", Int rp_shards);
-              ("pipeline", Int rp_pipeline);
-              ("mix", String (Kex_service.Loadgen.mix_to_string mix));
-              ("kills", Int kills);
-              ("requests", Int s.requests);
-              ("errors", Int s.errors);
-              ("throughput_rps", Float s.throughput_rps);
-              ("get_rps", Float (get_rps s));
-              ("p50_us", Int s.p50_us);
-              ("p99_us", Int s.p99_us) ]
-        in
-        let wire_cell_json (wire, dist, (s : Kex_service.Loadgen.summary)) =
-          Obj
-            [ ("wire", String (Kex_service.Protocol.wire_name wire));
-              ("dist", String (Kex_service.Keydist.dist_name dist));
-              ("shards", Int rp_shards);
-              ("pipeline", Int rp_pipeline);
-              ("keys", Int wire_keys);
-              ("mix", String (Kex_service.Loadgen.mix_to_string wire_mix));
-              ("kills", Int 0);
-              ("requests", Int s.requests);
-              ("errors", Int s.errors);
-              ("throughput_rps", Float s.throughput_rps);
-              ("p50_us", Int s.p50_us);
-              ("p99_us", Int s.p99_us) ]
-        in
-        let conn_scale_json (mode, r, conns, (s : Kex_service.Loadgen.summary)) =
-          Obj
-            [ ("plane", String mode);
-              ("reactors", Int r);
-              ("conns", Int conns);
-              ("shards", Int rp_shards);
-              ("pipeline", Int rp_pipeline);
-              ("mix", String (Kex_service.Loadgen.mix_to_string read_mix));
-              ("kills", Int 0);
-              ("requests", Int s.requests);
-              ("errors", Int s.errors);
-              ("throughput_rps", Float s.throughput_rps);
-              ("p50_us", Int s.p50_us);
-              ("p99_us", Int s.p99_us) ]
-        in
-        let doc =
-          Obj
-            [ ("schema", String "kexclusion-serve/v6");
-              ("git_rev", String (Kex_service.Provenance.git_rev ()));
-              ("hostname", String (Kex_service.Provenance.hostname ()));
-              ("ocaml", String Sys.ocaml_version);
-              ( "config",
-                Obj
-                  [ ("workers", Int workers);
-                    ("k", Int k);
-                    ("shards", Int hs);
-                    ("pipeline", Int hw);
-                    ("connections", Int connections);
-                    ("duration_s", Float duration);
-                    ("mix", String (Kex_service.Loadgen.mix_to_string mix));
-                    ("keys", Int keys);
-                    ("value_size", Int value_size);
-                    ("seed", Int seed);
-                    ("kills", Int kills);
-                    ("reactors", Int reactors);
-                    ("wire_keys", Int wire_keys) ] );
-              ("totals", Kex_service.Loadgen.summary_json hsum);
-              ("sweep", List (Stdlib.List.map cell_json cells));
-              ("read_path", List (Stdlib.List.map read_cell_json read_cells));
-              ("wire", List (Stdlib.List.map wire_cell_json wire_cells));
-              ("conn_scale", List (Stdlib.List.map conn_scale_json conn_scale_cells)) ]
-        in
-        let oc = open_out file in
-        output_string oc (to_string ~indent:2 doc);
-        output_char oc '\n';
-        close_out oc
-    | _ -> ());
-    (* The admission-wedged cell is the deliberately degraded baseline — its
-       timeouts are the experiment, so it is exempt from the error gate.
-       The wait-free-wedged cell is NOT exempt: zero errors there is the
-       availability assertion this sweep exists to check. *)
-    let all_summaries =
-      Stdlib.List.map (fun (_, _, s) -> s) cells
-      @ Stdlib.List.filter_map
-          (fun (label, _, _, s) -> if label = "admission-wedged" then None else Some s)
-          read_cells
-      @ Stdlib.List.map (fun (_, _, s) -> s) wire_cells
-      @ Stdlib.List.map (fun (_, _, _, s) -> s) conn_scale_cells
-    in
-    let total_errors =
-      Stdlib.List.fold_left (fun acc s -> acc + s.Kex_service.Loadgen.errors) 0 all_summaries
-    in
-    let no_successes =
-      Stdlib.List.exists
-        (fun s -> s.Kex_service.Loadgen.requests <= s.Kex_service.Loadgen.errors)
-        all_summaries
-    in
-    if no_successes then begin
-      Format.eprintf "kexd serve-sweep: a cell had no successful request@.";
-      1
-    end
-    else if fail_on_errors && total_errors > 0 then begin
-      Format.eprintf "kexd serve-sweep: %d failed requests across the matrix@." total_errors;
-      1
-    end
-    else 0
+    let cells = matrix @ read_path @ wire @ conn_scale in
+    Option.iter
+      (fun file ->
+        Sw.write ~file ~headline:("sweep", [ "shards"; "pipeline" ]) cells
+          ~config:
+            [ ("workers", Int workers); ("k", Int k); ("shards", Int shards);
+              ("pipeline", Int pipeline); ("connections", Int connections);
+              ("duration_s", Float duration);
+              ("mix", String (Kex_service.Loadgen.mix_to_string mix)); ("keys", Int keys);
+              ("value_size", Int value_size); ("seed", Int seed); ("kills", Int kills);
+              ("reactors", Int reactors); ("wire_keys", Int wire_keys) ])
+      json;
+    gate_exit "serve-sweep" (Sw.gate ~fail_on_errors cells)
   in
   Cmd.v (Cmd.info "serve-sweep" ~doc ~man)
     Term.(
-      const run $ shards_list_arg $ pipeline_list_arg $ workers_arg $ k_arg $ algo_arg
-      $ conns_arg $ duration_arg $ keys_arg $ value_size_arg $ seed_arg $ kills_arg
-      $ reactors_arg $ wire_keys_arg $ json_arg $ fail_on_errors_arg $ quiet_arg)
+      const run $ shards_list_arg $ pipeline_list_arg $ workers_arg $ admission_k_arg
+      $ runtime_algo_arg $ cell_conns_arg $ cell_duration_arg $ cell_keys_arg $ value_size_arg
+      $ prng_seed_arg $ kills_arg $ reactors_arg $ wire_keys_arg $ sweep_json_arg
+      $ fail_on_errors_arg $ quiet_arg)
 
 (* ----------------------------- cluster-sweep ------------------------------ *)
 
@@ -1108,7 +784,7 @@ let cluster_sweep_cmd =
          where one node is crashed abruptly mid-run (kill-node chaos) and its shards are \
          reassigned to the survivor shortly after — errors on the dead node are expected \
          and separately counted, while a single error on a surviving shard fails \
-         $(b,--fail-on-errors).  Writes the kexclusion-serve/v5 record with the scaling \
+         $(b,--fail-on-errors).  Writes the kexclusion-serve/v6 record with the scaling \
          cells under $(b,cluster), the resilience cells under $(b,migration)/$(b,kill) and \
          the max-N scaling cell as the headline $(b,totals)." ]
   in
@@ -1118,27 +794,11 @@ let cluster_sweep_cmd =
   let workers_arg =
     Arg.(value & opt int 2 & info [ "workers"; "w" ] ~doc:"worker domains per shard per node")
   in
-  let k_arg =
-    Arg.(value & opt int 2 & info [ "k"; "degree" ] ~doc:"per-shard admission bound (k <= workers)")
-  in
   let shards_arg =
     Arg.(value & opt int 4 & info [ "shards"; "s" ] ~doc:"global shard count (spread over nodes)")
   in
   let pipeline_arg =
     Arg.(value & opt int 16 & info [ "pipeline" ] ~docv:"W" ~doc:"requests in flight per client")
-  in
-  let conns_arg = Arg.(value & opt int 4 & info [ "connections"; "c" ] ~doc:"client domains") in
-  let duration_arg =
-    Arg.(value & opt float 2. & info [ "duration" ] ~docv:"S" ~doc:"seconds of load per cell")
-  in
-  let keys_arg = Arg.(value & opt int 64 & info [ "keys" ] ~doc:"keyspace size") in
-  let value_size_arg = Arg.(value & opt int 16 & info [ "value-size" ] ~doc:"SET payload bytes") in
-  let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"PRNG seed") in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE" ~doc:"write the kexclusion-serve/v5 sweep record")
   in
   let fail_on_errors_arg =
     Arg.(
@@ -1149,66 +809,24 @@ let cluster_sweep_cmd =
   in
   let run nodes_list workers k shards pipeline connections duration keys value_size seed json
       fail_on_errors quiet =
+    let module Sw = Kex_service.Sweep in
+    let open Kex_service.Json in
     let mix = [ ("get", 70); ("set", 20); ("update", 10) ] in
-    (* An in-process N-node cluster on ephemeral ports: start every node
-       cluster-less, read the ports back, then hand every node the shared
-       address list — the same deterministic bootstrap real deployments
-       compute from a fixed --cluster flag. *)
-    let start_cluster ?(chaos = fun _ -> []) n =
-      let servers =
-        List.init n (fun i ->
-            Kex_service.Server.start
-              { Kex_service.Server.port = 0; workers; k; shards;
-                algo = Kex_runtime.Kex_lock.Fast_path; chaos = chaos i;
-                wait_free_reads = true; cluster = None; reactors = 0;
-                out_hwm = Kex_service.Server.default_config.Kex_service.Server.out_hwm;
-                slow_drain_s = Kex_service.Server.default_config.Kex_service.Server.slow_drain_s;
-                log = (fun _ -> ()) })
-      in
-      let addrs =
-        List.map (fun s -> Printf.sprintf "127.0.0.1:%d" (Kex_service.Server.port s)) servers
-      in
-      List.iteri (fun i s -> Kex_service.Server.enable_cluster s ~node:i ~addrs) servers;
-      (servers, addrs)
+    let server = { Kex_service.Server.default_config with port = 0; workers; k; shards } in
+    let lg =
+      { Kex_service.Loadgen.default_config with
+        connections; duration_s = duration; mix; keys; value_size; seed; timeout_s = 5.;
+        pipeline; wire = Kex_service.Protocol.Binary }
     in
-    let lg_cfg ~addrs ~expect_dead ~marks =
-      { Kex_service.Loadgen.host = "127.0.0.1";
-        port = 0;
-        connections;
-        duration_s = duration;
-        mix;
-        keys;
-        dist = Kex_service.Keydist.Uniform;
-        value_size;
-        value_size_max = 0;
-        scan_len = 16;
-        seed;
-        timeout_s = 5.;
-        pipeline;
-        conns_per_client = 1;
-        wire = Kex_service.Protocol.Binary;
-        phase_marks = marks;
-        cluster = addrs;
-        expect_dead }
-    in
-    let print_cell label (s : Kex_service.Loadgen.summary) =
-      if not quiet then
-        Format.printf
-          "%-12s (S=%d W=%d) %9d req %6d err (%d expected) %6d redirects %12.0f req/s  p99 %6d \
-           us@."
-          label shards pipeline s.Kex_service.Loadgen.requests s.Kex_service.Loadgen.errors
-          s.Kex_service.Loadgen.expected_errors s.Kex_service.Loadgen.redirects
-          s.Kex_service.Loadgen.throughput_rps s.Kex_service.Loadgen.p99_us
+    let on_cell = if quiet then ignore else Format.printf "%a@." Sw.pp_cell in
+    let cell section params =
+      let params = params @ [ ("shards", Int shards); ("pipeline", Int pipeline) ] in
+      [ { Sw.section; params; gate = Sw.Gated; config = lg } ]
     in
     (* Node-count scaling cells. *)
-    let cells =
-      Stdlib.List.map
-        (fun n ->
-          let servers, addrs = start_cluster n in
-          let s = Kex_service.Loadgen.run (lg_cfg ~addrs ~expect_dead:[] ~marks:[]) in
-          Stdlib.List.iter Kex_service.Server.stop servers;
-          print_cell (Printf.sprintf "nodes=%d" n) s;
-          (n, s))
+    let scaling =
+      List.concat_map
+        (fun n -> Sw.run ~on_cell (Sw.Cluster (n, server)) (cell "cluster" [ ("nodes", Int n) ]))
         nodes_list
     in
     (* Migration under load: shard 0 moves from node 0 to node 1 halfway
@@ -1216,153 +834,57 @@ let cluster_sweep_cmd =
        assertion: every write acknowledged before the fence is in the bulk
        or delta shipment, none is acknowledged during it, and blocked
        clients wake to a MOVED naming the new owner. *)
-    let migration_cell =
-      let servers, addrs = start_cluster 2 in
-      let src = Stdlib.List.nth servers 0 and dst_addr = Stdlib.List.nth addrs 1 in
-      let mig_result = ref (Error "migration thread never ran") in
-      let mig_thread =
-        Thread.create
-          (fun () ->
-            Thread.delay (duration /. 2.);
-            mig_result := Kex_service.Server.handoff src ~shard:0 ~addr:dst_addr)
-          ()
-      in
-      let s = Kex_service.Loadgen.run (lg_cfg ~addrs ~expect_dead:[] ~marks:[ duration /. 2. ]) in
-      Thread.join mig_thread;
-      Stdlib.List.iter Kex_service.Server.stop servers;
-      print_cell "migration" s;
-      (match !mig_result with
-      | Ok () -> ()
-      | Error msg -> Format.eprintf "kexd cluster-sweep: migration failed: %s@." msg);
-      (s, !mig_result)
+    let migration =
+      Sw.run ~on_cell
+        ~steps:
+          [ { Sw.at_s = duration /. 2.; node = 0; action = Sw.Handoff { shard = 0; dst = 1 } } ]
+        (Sw.Cluster (2, server))
+        (cell "migration" [ ("nodes", Int 2); ("shard", Int 0) ])
     in
     (* Node kill + failover: node 1 crashes abruptly mid-run (kill-node
        chaos); its shards fail fast at clients — expected errors — until
        the survivor adopts them at a successor epoch and routing converges
        back to full coverage.  Surviving shards must not see one error. *)
-    let kill_cell =
-      let kill_at = duration /. 2. and adopt_at = duration *. 0.65 in
-      let chaos i =
-        if i = 1 then
-          [ { Kex_service.Chaos.at_s = kill_at; action = Kex_service.Chaos.Kill_node;
-              target = None } ]
-        else []
-      in
-      let servers, addrs = start_cluster ~chaos 2 in
-      let survivor = Stdlib.List.nth servers 0 and dead_addr = Stdlib.List.nth addrs 1 in
-      let adopt_thread =
-        Thread.create
-          (fun () ->
-            Thread.delay adopt_at;
-            for shard = 0 to shards - 1 do
-              if shard mod 2 = 1 then
-                match Kex_service.Server.adopt survivor ~shard with
-                | Ok () -> ()
-                | Error msg ->
-                    Format.eprintf "kexd cluster-sweep: adopt shard %d: %s@." shard msg
-            done)
-          ()
-      in
-      let s =
-        Kex_service.Loadgen.run
-          (lg_cfg ~addrs ~expect_dead:[ dead_addr ] ~marks:[ kill_at; adopt_at ])
-      in
-      Thread.join adopt_thread;
-      Stdlib.List.iter Kex_service.Server.stop servers;
-      print_cell "kill-node" s;
-      (s, dead_addr)
+    let kill =
+      Sw.run ~on_cell
+        ~steps:
+          ({ Sw.at_s = duration /. 2.; node = 1; action = Sw.Kill Kex_service.Chaos.Kill_node }
+          :: List.filter_map
+               (fun shard ->
+                 if shard mod 2 = 1 then
+                   Some { Sw.at_s = duration *. 0.65; node = 0; action = Sw.Adopt shard }
+                 else None)
+               (List.init shards Fun.id))
+        (Sw.Cluster (2, server))
+        (cell "kill" [ ("nodes", Int 2) ])
     in
-    let headline =
-      Stdlib.List.fold_left
-        (fun acc (n, s) -> match acc with Some (n', _) when n' >= n -> acc | _ -> Some (n, s))
-        None cells
-    in
-    (match (json, headline) with
-    | Some file, Some (hn, hsum) ->
-        let open Kex_service.Json in
-        let base (s : Kex_service.Loadgen.summary) =
-          [ ("shards", Int shards);
-            ("pipeline", Int pipeline);
-            ("requests", Int s.requests);
-            ("errors", Int s.errors);
-            ("expected_errors", Int s.expected_errors);
-            ("redirects", Int s.redirects);
-            ("throughput_rps", Float s.throughput_rps);
-            ("p50_us", Int s.p50_us);
-            ("p99_us", Int s.p99_us) ]
-        in
-        let mig_sum, mig_result = migration_cell in
-        let kill_sum, dead_addr = kill_cell in
-        let doc =
-          Obj
-            [ ("schema", String "kexclusion-serve/v5");
-              ("git_rev", String (Kex_service.Provenance.git_rev ()));
-              ("hostname", String (Kex_service.Provenance.hostname ()));
-              ("ocaml", String Sys.ocaml_version);
-              ( "config",
-                Obj
-                  [ ("workers", Int workers);
-                    ("k", Int k);
-                    ("shards", Int shards);
-                    ("pipeline", Int pipeline);
-                    ("nodes", Int hn);
-                    ("connections", Int connections);
-                    ("duration_s", Float duration);
-                    ("mix", String (Kex_service.Loadgen.mix_to_string mix));
-                    ("keys", Int keys);
-                    ("value_size", Int value_size);
-                    ("seed", Int seed) ] );
-              ("totals", Kex_service.Loadgen.summary_json hsum);
-              ( "cluster",
-                List
-                  (Stdlib.List.map
-                     (fun (n, s) -> Obj (("nodes", Int n) :: base s))
-                     cells) );
-              ( "migration",
-                Obj
-                  (("nodes", Int 2) :: ("shard", Int 0)
-                  :: ("ok", Int (match mig_result with Ok () -> 1 | Error _ -> 0))
-                  :: base mig_sum) );
-              ( "kill",
-                Obj (("nodes", Int 2) :: ("dead", String dead_addr) :: base kill_sum) ) ]
-        in
-        let oc = open_out file in
-        output_string oc (to_string ~indent:2 doc);
-        output_char oc '\n';
-        close_out oc
-    | _ -> ());
-    let mig_sum, mig_result = migration_cell in
-    let kill_sum, _ = kill_cell in
-    let all_summaries = Stdlib.List.map snd cells @ [ mig_sum; kill_sum ] in
-    let no_successes =
-      Stdlib.List.exists
-        (fun (s : Kex_service.Loadgen.summary) -> s.requests <= s.errors)
-        all_summaries
-    in
-    let unexpected =
-      Stdlib.List.fold_left
-        (fun acc (s : Kex_service.Loadgen.summary) -> acc + s.errors - s.expected_errors)
-        0 all_summaries
-    in
-    if no_successes then begin
-      Format.eprintf "kexd cluster-sweep: a cell had no successful request@.";
-      1
-    end
-    else if mig_result <> Ok () then 1
-    else if fail_on_errors && unexpected > 0 then begin
-      Format.eprintf "kexd cluster-sweep: %d unexpected failed requests across the cells@."
-        unexpected;
-      1
-    end
-    else 0
+    let cells = scaling @ migration @ kill in
+    Option.iter
+      (fun file ->
+        Sw.write ~file ~headline:("cluster", [ "nodes" ]) cells
+          ~config:
+            [ ("workers", Int workers); ("k", Int k); ("shards", Int shards);
+              ("pipeline", Int pipeline); ("nodes", Int (List.fold_left max 0 nodes_list));
+              ("connections", Int connections); ("duration_s", Float duration);
+              ("mix", String (Kex_service.Loadgen.mix_to_string mix)); ("keys", Int keys);
+              ("value_size", Int value_size); ("seed", Int seed) ])
+      json;
+    gate_exit "cluster-sweep" (Sw.gate ~fail_on_errors cells)
   in
   Cmd.v (Cmd.info "cluster-sweep" ~doc ~man)
     Term.(
-      const run $ nodes_list_arg $ workers_arg $ k_arg $ shards_arg $ pipeline_arg $ conns_arg
-      $ duration_arg $ keys_arg $ value_size_arg $ seed_arg $ json_arg $ fail_on_errors_arg
-      $ quiet_arg)
+      const run $ nodes_list_arg $ workers_arg $ admission_k_arg $ shards_arg $ pipeline_arg
+      $ cell_conns_arg $ cell_duration_arg $ cell_keys_arg $ value_size_arg $ prng_seed_arg
+      $ sweep_json_arg $ fail_on_errors_arg $ quiet_arg)
 
 (* -------------------------------- lint ----------------------------------- *)
+
+(* Flags the two linters share. *)
+let require_clean_arg =
+  Arg.(value & flag & info [ "require-clean" ] ~doc:"exit 1 on any non-waived finding (CI gate)")
+
+let verbose_arg =
+  Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"print every finding with its witness")
 
 let lint_cmd =
   let doc = "lint the algorithms' local-spin and exclusion discipline (static CFG + sanitizer)" in
@@ -1399,11 +921,6 @@ let lint_cmd =
       & opt (some string) None
       & info [ "json" ] ~docv:"FILE" ~doc:"write the kexclusion-lint/v1 report")
   in
-  let require_clean_arg =
-    Arg.(
-      value & flag
-      & info [ "require-clean" ] ~doc:"exit 1 on any non-waived finding (CI gate)")
-  in
   let mutant_arg =
     Arg.(
       value
@@ -1422,9 +939,6 @@ let lint_cmd =
   let static_only_arg =
     Arg.(value & flag & info [ "static-only" ] ~doc:"skip the dynamic sanitizer runs")
   in
-  let verbose_arg =
-    Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"print every finding with its witness")
-  in
   let run algo model n k json require_clean mutant mutants static_only verbose =
     let module A = Kex_analysis in
     let analyze = A.Lint.analyze ~static_only in
@@ -1442,13 +956,7 @@ let lint_cmd =
               (A.Finding.id m.A.Mutants.m_expected)
               (if A.Mutants.killed m r then "KILLED" else "SURVIVED");
             Format.printf "%a" A.Report.pp_findings r;
-            Option.iter
-              (fun file ->
-                let oc = open_out file in
-                output_string oc (Kex_service.Json.to_string ~indent:2 (A.Report.to_json [ r ]));
-                output_char oc '\n';
-                close_out oc)
-              json;
+            Option.iter (fun file -> Kex_service.Json.to_file file (A.Report.to_json [ r ])) json;
             if A.Lint.clean r then 0 else 1)
     | None ->
         let algos = match algo with Some a -> [ a ] | None -> Kexclusion.Registry.all in
@@ -1496,12 +1004,7 @@ let lint_cmd =
         end;
         Option.iter
           (fun file ->
-            let oc = open_out file in
-            output_string oc
-              (Kex_service.Json.to_string ~indent:2
-                 (A.Report.to_json ~mutants:mutant_results reports));
-            output_char oc '\n';
-            close_out oc)
+            Kex_service.Json.to_file file (A.Report.to_json ~mutants:mutant_results reports))
           json;
         let dirty = Stdlib.List.exists (fun r -> not (A.Lint.clean r)) reports in
         let survived = Stdlib.List.exists (fun (_, _, killed) -> not killed) mutant_results in
@@ -1544,11 +1047,6 @@ let srclint_cmd =
       & opt (some string) None
       & info [ "json" ] ~docv:"FILE" ~doc:"write the kexclusion-srclint/v1 report")
   in
-  let require_clean_arg =
-    Arg.(
-      value & flag
-      & info [ "require-clean" ] ~doc:"exit 1 on any non-waived finding (CI gate)")
-  in
   let mutant_arg =
     Arg.(
       value
@@ -1563,9 +1061,6 @@ let srclint_cmd =
       & info [ "mutants" ]
           ~doc:"also run the seeded source-mutant corpus; exit 1 unless every mutant is \
                 killed by exactly its expected check")
-  in
-  let verbose_arg =
-    Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"print every finding with its witness")
   in
   let run root file json require_clean mutant mutants verbose =
     let module A = Kex_analysis in
@@ -1589,12 +1084,7 @@ let srclint_cmd =
                else "");
             Format.printf "%a" A.Report.pp_srclint_findings fr;
             Option.iter
-              (fun out ->
-                let oc = open_out out in
-                output_string oc
-                  (Kex_service.Json.to_string ~indent:2 (A.Report.srclint_to_json [ fr ]));
-                output_char oc '\n';
-                close_out oc)
+              (fun out -> Kex_service.Json.to_file out (A.Report.srclint_to_json [ fr ]))
               json;
             if A.Srclint_mutants.killed m fr then 1 else 0)
     | None ->
@@ -1635,12 +1125,7 @@ let srclint_cmd =
         end;
         Option.iter
           (fun out ->
-            let oc = open_out out in
-            output_string oc
-              (Kex_service.Json.to_string ~indent:2
-                 (A.Report.srclint_to_json ~mutants:mutant_results frs));
-            output_char oc '\n';
-            close_out oc)
+            Kex_service.Json.to_file out (A.Report.srclint_to_json ~mutants:mutant_results frs))
           json;
         let dirty = not (A.Srclint.clean frs) in
         let survived =
@@ -1656,7 +1141,10 @@ let srclint_cmd =
 (* ----------------------------- bench-report ------------------------------- *)
 
 let bench_report_cmd =
-  let doc = "summarize a BENCH_*.json run record (bench v1/v2, serve v1-v6, sweep schemas)" in
+  let doc =
+    "summarize a BENCH_*.json run record (bench v1/v2; serve v1-v6, every cell of every sweep \
+     section)"
+  in
   let file_arg = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   let require_zero_errors_arg =
     Arg.(value & flag & info [ "require-zero-errors" ] ~doc:"exit 1 unless the record has 0 errors")
@@ -1674,16 +1162,7 @@ let bench_report_cmd =
       value & opt float 0.2
       & info [ "tolerance" ] ~doc:"allowed fractional throughput regression for --compare")
   in
-  let load_json file =
-    let ic = open_in_bin file in
-    let len = in_channel_length ic in
-    let raw = really_input_string ic len in
-    close_in ic;
-    Kex_service.Json.parse raw
-  in
-  let is_serve_schema schema =
-    String.length schema >= 16 && String.sub schema 0 16 = "kexclusion-serve"
-  in
+  let is_serve_schema = String.starts_with ~prefix:"kexclusion-serve" in
   let serve_throughput doc =
     let open Kex_service.Json in
     match member_str "schema" doc with
@@ -1693,7 +1172,7 @@ let bench_report_cmd =
   in
   let run file require_zero_errors compare tolerance =
     let open Kex_service.Json in
-    match load_json file with
+    match Kex_service.Json.of_file file with
     | Error msg ->
         Format.eprintf "%s: not valid JSON: %s@." file msg;
         2
@@ -1706,6 +1185,10 @@ let bench_report_cmd =
         Format.printf "git_rev  : %s@." (str "git_rev");
         Format.printf "hostname : %s@." (str "hostname");
         Format.printf "ocaml    : %s@." (str "ocaml");
+        Format.printf "cores    : %s@."
+          (Option.fold ~none:"-" ~some:string_of_int (member_int "cores" doc));
+        Format.printf "runparam : %s@."
+          (match member_str "ocamlrunparam" doc with Some "" -> "(unset)" | _ -> str "ocamlrunparam");
         let errors =
           if is_serve_schema schema then begin
             let totals = Option.value (member "totals" doc) ~default:(Obj []) in
@@ -1718,102 +1201,9 @@ let bench_report_cmd =
               (lat_i "p99") (lat_i "max");
             let errors = int_of_float (num "errors") in
             Format.printf "errors   : %d@." errors;
-            List.iter
-              (fun ph ->
-                Format.printf "  phase %-10s %6d req %5d err  p50 %6d  p99 %6d us@."
-                  (Option.value (member_str "label" ph) ~default:"?")
-                  (Option.value (member_int "requests" ph) ~default:0)
-                  (Option.value (member_int "errors" ph) ~default:0)
-                  (Option.value (member_int "p50_us" ph) ~default:0)
-                  (Option.value (member_int "p99_us" ph) ~default:0))
-              (member_list "phases" doc);
-            (* v2 sweep matrix; absent from v1 records and plain runs. *)
-            List.iter
-              (fun cell ->
-                Format.printf "  cell S=%d W=%d  %8d req %5d err  %9.0f req/s  p50 %6d  p99 %6d us@."
-                  (Option.value (member_int "shards" cell) ~default:0)
-                  (Option.value (member_int "pipeline" cell) ~default:0)
-                  (Option.value (member_int "requests" cell) ~default:0)
-                  (Option.value (member_int "errors" cell) ~default:0)
-                  (Option.value (member_number "throughput_rps" cell) ~default:0.)
-                  (Option.value (member_int "p50_us" cell) ~default:0)
-                  (Option.value (member_int "p99_us" cell) ~default:0))
-              (member_list "sweep" doc);
-            (* v3 read-plane pair; absent from v1/v2 records. *)
-            List.iter
-              (fun cell ->
-                Format.printf
-                  "  reads %-10s S=%d W=%d  %8d req %5d err  %9.0f req/s  get %9.0f/s  p99 %6d us@."
-                  (Option.value (member_str "reads" cell) ~default:"?")
-                  (Option.value (member_int "shards" cell) ~default:0)
-                  (Option.value (member_int "pipeline" cell) ~default:0)
-                  (Option.value (member_int "requests" cell) ~default:0)
-                  (Option.value (member_int "errors" cell) ~default:0)
-                  (Option.value (member_number "throughput_rps" cell) ~default:0.)
-                  (Option.value (member_number "get_rps" cell) ~default:0.)
-                  (Option.value (member_int "p99_us" cell) ~default:0))
-              (member_list "read_path" doc);
-            (* v4 wire quad (text vs binary x uniform vs zipfian); absent
-               from v1-v3 records. *)
-            List.iter
-              (fun cell ->
-                Format.printf
-                  "  wire %-6s %-8s keys=%-8d  %8d req %5d err  %9.0f req/s  p50 %6d  p99 %6d \
-                   us@."
-                  (Option.value (member_str "wire" cell) ~default:"?")
-                  (Option.value (member_str "dist" cell) ~default:"?")
-                  (Option.value (member_int "keys" cell) ~default:0)
-                  (Option.value (member_int "requests" cell) ~default:0)
-                  (Option.value (member_int "errors" cell) ~default:0)
-                  (Option.value (member_number "throughput_rps" cell) ~default:0.)
-                  (Option.value (member_int "p50_us" cell) ~default:0)
-                  (Option.value (member_int "p99_us" cell) ~default:0))
-              (member_list "wire" doc);
-            (* v5 cluster cells (node-count scaling + migration + kill);
-               absent from v1-v4 records. *)
-            let pp_cluster_cell label cell =
-              Format.printf
-                "  %-11s S=%d W=%d  %8d req %5d err (%d expected) %5d redirects  %9.0f req/s  \
-                 p99 %6d us@."
-                label
-                (Option.value (member_int "shards" cell) ~default:0)
-                (Option.value (member_int "pipeline" cell) ~default:0)
-                (Option.value (member_int "requests" cell) ~default:0)
-                (Option.value (member_int "errors" cell) ~default:0)
-                (Option.value (member_int "expected_errors" cell) ~default:0)
-                (Option.value (member_int "redirects" cell) ~default:0)
-                (Option.value (member_number "throughput_rps" cell) ~default:0.)
-                (Option.value (member_int "p99_us" cell) ~default:0)
-            in
-            List.iter
-              (fun cell ->
-                pp_cluster_cell
-                  (Printf.sprintf "nodes=%d" (Option.value (member_int "nodes" cell) ~default:0))
-                  cell)
-              (member_list "cluster" doc);
-            Option.iter
-              (fun cell ->
-                pp_cluster_cell
-                  (if Option.value (member_int "ok" cell) ~default:0 = 1 then "migration"
-                   else "migration!?")
-                  cell)
-              (member "migration" doc);
-            Option.iter (fun cell -> pp_cluster_cell "kill-node" cell) (member "kill" doc);
-            (* v6 connection-scaling quad (thread plane vs reactor plane at
-               rising connection counts); absent from v1-v5 records. *)
-            List.iter
-              (fun cell ->
-                Format.printf
-                  "  conns=%-4d %-8s R=%d  %8d req %5d err  %9.0f req/s  p50 %6d  p99 %6d us@."
-                  (Option.value (member_int "conns" cell) ~default:0)
-                  (Option.value (member_str "plane" cell) ~default:"?")
-                  (Option.value (member_int "reactors" cell) ~default:0)
-                  (Option.value (member_int "requests" cell) ~default:0)
-                  (Option.value (member_int "errors" cell) ~default:0)
-                  (Option.value (member_number "throughput_rps" cell) ~default:0.)
-                  (Option.value (member_int "p50_us" cell) ~default:0)
-                  (Option.value (member_int "p99_us" cell) ~default:0))
-              (member_list "conn_scale" doc);
+            (* Every cell of every section — phases of a loadgen record, the
+               sweep sections of v2-v6 — through one printer. *)
+            List.iter (Format.printf "%a@." Kex_service.Sweep.pp_cell) (Kex_service.Sweep.read doc);
             errors
           end
           else begin
@@ -1834,7 +1224,7 @@ let bench_report_cmd =
           match compare with
           | None -> 0
           | Some baseline -> (
-              match load_json baseline with
+              match Kex_service.Json.of_file baseline with
               | Error msg ->
                   Format.eprintf "%s: not valid JSON: %s@." baseline msg;
                   2

@@ -1,5 +1,9 @@
 type algo = Naive | Inductive | Tree | Fast_path | Graceful | Dsm_fast_path
 
+let algos =
+  [ ("naive", Naive); ("inductive", Inductive); ("tree", Tree); ("fastpath", Fast_path);
+    ("graceful", Graceful); ("dsm-fastpath", Dsm_fast_path) ]
+
 type t = { protocol : Protocol.t; n : int; k : int }
 
 let create ?(algo = Fast_path) ~n ~k () =

@@ -23,6 +23,10 @@ type algo =
           spins on its own cell (per-process spin locations), the right
           choice for NUMA placement *)
 
+val algos : (string * algo) list
+(** Every algorithm under its command-line name ([naive], [inductive], [tree],
+    [fastpath], [graceful], [dsm-fastpath]). *)
+
 type t
 
 val create : ?algo:algo -> n:int -> k:int -> unit -> t

@@ -261,3 +261,10 @@ let member_int key v = Option.bind (member key v) to_int
 let member_number key v = Option.bind (member key v) to_number
 let member_str key v = Option.bind (member key v) to_str
 let member_list key v = Option.value ~default:[] (Option.bind (member key v) to_list)
+
+let to_file file v =
+  Out_channel.with_open_text file (fun oc ->
+      output_string oc (to_string ~indent:2 v);
+      output_char oc '\n')
+
+let of_file file = parse (In_channel.with_open_bin file In_channel.input_all)

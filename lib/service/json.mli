@@ -20,6 +20,12 @@ val parse : string -> (t, string) result
 (** Strict single-document parse.  Numbers without [.]/[e] parse as [Int].
     [\u] escapes decode to UTF-8. *)
 
+val to_file : string -> t -> unit
+(** Write [v] pretty-printed (indent 2) plus a final newline — every
+    record the tools write goes through here. *)
+
+val of_file : string -> (t, string) result
+
 (** Tolerant accessors — every lookup returns an option (or [[]]), so readers
     stay compatible with older schema versions that lack a field. *)
 

@@ -134,19 +134,19 @@ let samples_push s ~t_off_ms ~lat_us ~kind ~ok =
 let backoff_init = 0.05
 let backoff_cap = 2.0
 
+(* A request that fails fast on a down socket holds its window slot until
+   that socket's pace time, at most this far ahead — so a lane with nothing
+   live fails at most one window per pace interval. *)
+let pace = 0.05
+
 (* A request may bounce MOVED a few times mid-migration (stale table, then
    a table that is itself flipping); past this it counts as an error. *)
 let max_redirects = 3
 
+(* An op kind's position in [op_kinds] — its histogram slot. *)
 let kind_index k =
-  match k with
-  | "get" -> 0
-  | "set" -> 1
-  | "del" -> 2
-  | "update" -> 3
-  | "rmw" -> 4
-  | "scan" -> 5
-  | _ -> -1
+  let rec go i = function [] -> -1 | x :: rest -> if x = k then i else go (i + 1) rest in
+  go 0 op_kinds
 
 (* Per-domain generator state: the key sampler plus a pre-rolled random
    blob values are sliced from, so the hot path allocates one string per
@@ -319,8 +319,14 @@ exception Desync
    into one receive buffer.  A socket that closes, desyncs, or has traffic
    in flight and no bytes for [timeout_s] fails: its in-flight requests
    become errors charged from their enqueue, and it backs off before the
-   next connect; requests routed to it meanwhile fail fast, holding their
-   window slot for the round, so a dead node errors at a bounded rate. *)
+   next connect.  Requests routed to it meanwhile fail fast, each holding
+   its window slot until the socket's pace time, and the poll's timeout
+   stops at the earliest such time: a lane with nothing live errors at a
+   bounded rate.  While another of the lane's sockets is answering, held
+   slots free at the next round instead: holding them for the pace would
+   throttle the surviving nodes to the dead node's error rate (slots that
+   release in 50 ms crowd out the ones that cycle in a round trip), so the
+   dead node's errors accrue at the pace of the live traffic. *)
 
 type sock = {
   s_addr : string;
@@ -331,12 +337,14 @@ type sock = {
   mutable s_backoff : float;
   mutable s_retry_at : float;  (* no reconnect attempt before this *)
   mutable s_last_rx : float;  (* progress stamp for the request timeout *)
+  mutable s_pace_at : float;  (* fast failures here hold their slot until then *)
 }
 
 and lane = {
   l_socks : (string, sock) Hashtbl.t;  (* node addr -> this lane's socket *)
   l_pending : entry Queue.t;  (* redirected requests and RMW write legs *)
   mutable l_inflight : int;
+  mutable l_held : sock list;  (* one entry per slot held by a fast failure *)
 }
 
 let client cfg ~t0 ~conn_id samples cs routing =
@@ -346,7 +354,7 @@ let client cfg ~t0 ~conn_id samples cs routing =
   let next_id = ref 0 in
   let lanes =
     Array.init cfg.conns_per_client (fun _ ->
-        { l_socks = Hashtbl.create 4; l_pending = Queue.create (); l_inflight = 0 })
+        { l_socks = Hashtbl.create 4; l_pending = Queue.create (); l_inflight = 0; l_held = [] })
   in
   (* Every socket of every lane, and poll's scratch arrays sized to match. *)
   let socks = ref [||] in
@@ -405,7 +413,8 @@ let client cfg ~t0 ~conn_id samples cs routing =
     | None ->
         let s =
           { s_addr = addr; s_lane = l; s_conn = None; s_inflight = Hashtbl.create (2 * cfg.pipeline);
-            s_out = Buffer.create 1024; s_backoff = backoff_init; s_retry_at = 0.; s_last_rx = 0. }
+            s_out = Buffer.create 1024; s_backoff = backoff_init; s_retry_at = 0.; s_last_rx = 0.;
+            s_pace_at = 0. }
         in
         Hashtbl.add l.l_socks addr s;
         socks := Array.append !socks [| s |];
@@ -431,7 +440,8 @@ let client cfg ~t0 ~conn_id samples cs routing =
             back_off s;
             false)
   in
-  (* Queue [ce] on its owner's socket; false if it failed fast instead. *)
+  (* Queue [ce] on its owner's socket; false if it failed fast instead,
+     holding its slot. *)
   let dispatch l ce =
     let s = sock_of l (owner ce) in
     if connected s then begin
@@ -448,26 +458,35 @@ let client cfg ~t0 ~conn_id samples cs routing =
     end
     else begin
       record_err s.s_addr ce;
+      let now = Unix.gettimeofday () in
+      if s.s_pace_at <= now then s.s_pace_at <- now +. pace;
+      l.l_held <- s :: l.l_held;
       false
     end
   in
-  let failed_fast = ref false in
+  (* A lane is answering while one of its sockets is connected and heard
+     from within the last pace interval. *)
+  let answering l now =
+    Hashtbl.fold (fun _ s acc -> acc || (s.s_conn <> None && now -. s.s_last_rx < pace)) l.l_socks
+      false
+  in
   (* Top each lane's window up — waiting requests first, then (if [fresh])
-     new ones — and ship every socket's frames as one write.  A request
-     that failed fast holds its window slot until the next round. *)
+     new ones — and ship every socket's frames as one write.  Held slots
+     are free again once their socket's pace time has come, or at once
+     while the lane is answering. *)
   let fill ~fresh =
-    failed_fast := false;
+    let now = Unix.gettimeofday () in
     Array.iter
       (fun l ->
-        let held = ref 0 in
+        if l.l_held <> [] then
+          l.l_held <-
+            (if answering l now then [] else List.filter (fun s -> now < s.s_pace_at) l.l_held);
+        let held = ref (List.length l.l_held) in
         while
           l.l_inflight + !held < cfg.pipeline && (fresh || not (Queue.is_empty l.l_pending))
         do
           let ce = if Queue.is_empty l.l_pending then new_entry cfg g ~t0 else Queue.pop l.l_pending in
-          if not (dispatch l ce) then begin
-            incr held;
-            failed_fast := true
-          end
+          if not (dispatch l ce) then incr held
         done)
       lanes;
     Array.iter
@@ -510,12 +529,22 @@ let client cfg ~t0 ~conn_id samples cs routing =
             | _ -> record ce ~ok:true));
         drain s dec
   in
-  (* Fail the sockets past their request timeout, poll the rest, and read
-     and settle whatever arrived. *)
-  let read_phase ~timeout_ms =
+  (* Fail the sockets past their request timeout, poll the rest for at most
+     20 ms or until the earliest held slot frees (at once on an answering
+     lane), and read and settle whatever arrived. *)
+  let read_phase () =
     let pfds = !pfds and pflags = !pflags and psocks = !psocks in
     let n = ref 0 in
     let now = Unix.gettimeofday () in
+    let wake =
+      Array.fold_left
+        (fun acc l ->
+          if l.l_held = [] then acc
+          else if answering l now then now
+          else List.fold_left (fun acc s -> Float.min acc s.s_pace_at) acc l.l_held)
+        (now +. 0.02) lanes
+    in
+    let timeout_ms = max 0 (int_of_float (Float.ceil ((wake -. now) *. 1000.))) in
     Array.iter
       (fun s ->
         match s.s_conn with
@@ -546,15 +575,12 @@ let client cfg ~t0 ~conn_id samples cs routing =
       done
     end
   in
-  let in_flight () = Array.exists (fun l -> l.l_inflight > 0) lanes in
-  let busy () = in_flight () || Array.exists (fun l -> not (Queue.is_empty l.l_pending)) lanes in
+  let busy () =
+    Array.exists (fun l -> l.l_inflight > 0 || not (Queue.is_empty l.l_pending)) lanes
+  in
   while Unix.gettimeofday () < deadline do
     fill ~fresh:true;
-    read_phase ~timeout_ms:20;
-    (* Nothing in flight and this round only failed fast: pace the loop so
-       outage errors accrue at a bounded rate, like the timeouts they stand
-       for.  With live traffic in flight, the poll is pacing enough. *)
-    if !failed_fast && not (in_flight ()) then Thread.delay 0.05
+    read_phase ()
   done;
   (* Deadline: give responses already on the wire (and the RMW write legs
      and redirects they trigger) one timeout to land, then charge whatever
@@ -562,7 +588,7 @@ let client cfg ~t0 ~conn_id samples cs routing =
   let drain_deadline = Unix.gettimeofday () +. cfg.timeout_s in
   while busy () && Unix.gettimeofday () < drain_deadline do
     fill ~fresh:false;
-    read_phase ~timeout_ms:20
+    read_phase ()
   done;
   Array.iter (fun l -> Queue.iter (fun ce -> record_err (owner ce) ce) l.l_pending) lanes;
   Array.iter drop !socks
@@ -737,11 +763,9 @@ let summary_json s =
 
 let to_json cfg s =
   Json.Obj
-    [ ("schema", Json.String "kexclusion-serve/v6");
-      ("git_rev", Json.String (Provenance.git_rev ()));
-      ("hostname", Json.String (Provenance.hostname ()));
-      ("ocaml", Json.String Sys.ocaml_version);
-      ( "config",
+    ([ ("schema", Json.String "kexclusion-serve/v6") ]
+    @ Provenance.fields ()
+    @ [ ( "config",
         Json.Obj
           [ ("host", Json.String cfg.host);
             ("port", Json.Int cfg.port);
@@ -767,13 +791,9 @@ let to_json cfg s =
           (List.map
              (fun (addr, n) ->
                Json.Obj [ ("addr", Json.String addr); ("errors", Json.Int n) ])
-             s.node_errors) ) ]
+             s.node_errors) ) ])
 
-let emit_json ~file cfg s =
-  let oc = open_out file in
-  output_string oc (Json.to_string ~indent:2 (to_json cfg s));
-  output_char oc '\n';
-  close_out oc
+let emit_json ~file cfg s = Json.to_file file (to_json cfg s)
 
 let pp_summary ppf s =
   Format.fprintf ppf "requests   : %d (%.0f req/s, %d errors)@." s.requests s.throughput_rps

@@ -11,7 +11,10 @@
 
     A request that times out or loses its connection counts as an error and
     the client reconnects (with exponential backoff, 50 ms doubling to a
-    2 s cap, so a dead server yields a bounded error rate); against a
+    2 s cap).  Meanwhile requests routed to the down socket fail fast,
+    each holding its window slot for up to 50 ms unless another node's
+    reply frees it first — a lane with nothing live errors at most one
+    window per 50 ms, while survivors keep their rate; against a
     stalled server (k workers killed) the tool therefore terminates with
     collapsed throughput instead of hanging.  Aggregation runs on
     fixed-layout histograms ({!Kex_sim.Stats.Hist}), merged exactly across
@@ -101,14 +104,17 @@ val summary_json : summary -> Json.t
 (** The [totals] object alone — reused by the sweep record. *)
 
 val to_json : config -> summary -> Json.t
-(** Schema [kexclusion-serve/v6], provenance-stamped (git_rev, hostname).
-    v5 over v4: totals carry [redirects]/[expected_errors], the config
-    block records [cluster]/[expect_dead], a [node_errors] section
-    attributes errors per node, and sweep records may carry [cluster]/
-    [migration]/[kill] sections (the multi-node cells).  v6 over v5: the
-    config block records [conns_per_client], and sweep records may carry a
-    [conn_scale] section (thread-vs-reactor connection-scaling cells).
-    [bench-report] reads any [kexclusion-serve/*] prefix. *)
+(** Schema [kexclusion-serve/v6], provenance-stamped ({!Provenance.fields}:
+    git_rev, hostname, ocaml, cores, ocamlrunparam).  The version ladder of
+    serve records: v1 totals + phases; v2 adds the sweep matrix
+    ([sweep]); v3 the read-plane cells ([read_path]); v4 the wire quad
+    ([wire]); v5 totals with [redirects]/[expected_errors], a config block
+    with [cluster]/[expect_dead], [node_errors], and the multi-node cells
+    ([cluster]/[migration]/[kill]); v6 [conns_per_client] in the config
+    block and the connection-scaling cells ([conn_scale]).  Both sweeps
+    now write v6 through {!Sweep.write}, and {!Sweep.read} reads every
+    section of every version.  [cores]/[ocamlrunparam] are additive:
+    older v6 records lack them. *)
 
 val emit_json : file:string -> config -> summary -> unit
 val pp_summary : Format.formatter -> summary -> unit

@@ -13,3 +13,10 @@ let git_rev () =
   with _ -> "unknown"
 
 let hostname () = try Unix.gethostname () with _ -> "unknown"
+
+let fields () =
+  [ ("git_rev", Json.String (git_rev ()));
+    ("hostname", Json.String (hostname ()));
+    ("ocaml", Json.String Sys.ocaml_version);
+    ("cores", Json.Int (Domain.recommended_domain_count ()));
+    ("ocamlrunparam", Json.String (Option.value (Sys.getenv_opt "OCAMLRUNPARAM") ~default:"")) ]

@@ -75,8 +75,8 @@ let quiet = { Server.default_config with port = 0; log = (fun _ -> ()) }
 
 (* Start [n] nodes on ephemeral ports, then join them into one cluster over
    the discovered address list (the reason [enable_cluster] exists). *)
-let with_cluster ?(cfg = quiet) n f =
-  let servers = Array.init n (fun _ -> Server.start cfg) in
+let with_cluster ?(cfg = quiet) ?(chaos = fun _ -> []) n f =
+  let servers = Array.init n (fun i -> Server.start { cfg with chaos = chaos i }) in
   let addrs =
     Array.to_list (Array.map (fun t -> Printf.sprintf "127.0.0.1:%d" (Server.port t)) servers)
   in
@@ -279,6 +279,47 @@ let test_kill_node_failover () =
               Alcotest.(check string) "survivor owns shard 1" addrs.(0) (List.assoc 1 owners)
           | r -> Alcotest.failf "TOPO answered %s" (P.print_response r)))
 
+(* The cluster-aware load generator after a kill-node with no failover:
+   the dead node's shards fail fast (expected errors), but the survivor
+   keeps serving its own shards.  Fast failures are paced per dead socket,
+   not by stalling the whole client loop, so the survivor's successful
+   rate after the kill stays within a small factor of the whole cluster's
+   rate before it. *)
+let test_loadgen_survivor_rate_after_kill () =
+  let kill_at = 0.5 in
+  let chaos i =
+    if i = 1 then [ { Kex_service.Chaos.at_s = kill_at; action = Kill_node; target = None } ]
+    else []
+  in
+  with_cluster ~cfg:{ quiet with shards = 4; workers = 2; k = 2 } ~chaos 2 (fun _ addrs ->
+      let s =
+        Kex_service.Loadgen.run
+          { Kex_service.Loadgen.default_config with
+            cluster = Array.to_list addrs;
+            expect_dead = [ addrs.(1) ];
+            connections = 2;
+            pipeline = 8;
+            duration_s = 1.5;
+            timeout_s = 1.;
+            wire = P.Binary;
+            phase_marks = [ kill_at ] }
+      in
+      let ok_rate (b : Kex_service.Loadgen.bucket) =
+        float_of_int (b.requests - b.errors) /. b.window_s
+      in
+      match s.Kex_service.Loadgen.phases with
+      | [ before; after ] ->
+          Alcotest.(check int) "survivor errors" 0
+            (s.Kex_service.Loadgen.errors - s.Kex_service.Loadgen.expected_errors);
+          Alcotest.(check bool) "the dead node's shards failed" true
+            (s.Kex_service.Loadgen.expected_errors > 0);
+          Alcotest.(check bool)
+            (Printf.sprintf "survivor %.0f ok/s >= 1/5 of the cluster's %.0f ok/s before"
+               (ok_rate after) (ok_rate before))
+            true
+            (ok_rate after >= ok_rate before /. 5.)
+      | _ -> Alcotest.fail "expected two phases")
+
 (* HANDOFF to a node address that does not resolve: an ERR reply on the
    wire, not a dead connection thread and a client left waiting. *)
 let test_handoff_unresolvable () =
@@ -387,5 +428,7 @@ let suite =
     Helpers.tc "cluster: HANDOFF to an unresolvable name answers ERR" test_handoff_unresolvable;
     Helpers.tc_slow "cluster: loadgen follows a mid-run handoff, zero errors"
       test_loadgen_follows_handoff;
+    Helpers.tc_slow "cluster: loadgen keeps the survivor's rate after a node kill"
+      test_loadgen_survivor_rate_after_kill;
     Helpers.tc "cluster: staged items for a handed-off shard get MOVED each"
       test_staged_moved_after_handoff ]
